@@ -3,9 +3,20 @@
 Each event runs one agent through local descent, a consensus mix of delayed
 neighbor descent states, and a sum-push gradient-tracking update whose
 perturbation is the agent's own gradient increment. The same purged age
-counter gates both the consensus inputs and the tracking masses. Synchronous
-baselines (the lockstep ratio-tracking iteration and the parallel Jacobi
-round) live here too.
+counter gates both the consensus inputs and the tracking masses.
+
+The purge depends only on the schedule, never on agent state, so `run`
+compiles the schedule once (`schedule.compile`): every delayed read becomes
+the sender activation count it consumes. The state lives in arrays: the
+descent states each agent publishes and the cumulative tracking mass pushed
+on each edge sit in rings indexed by the sender's activation count mod S.
+The compiled schedule splits the events into batches of mutually independent
+events, and one batch core gathers, mixes, pushes and scatters a whole batch
+with numpy operations, in the same per-event arithmetic order as one event
+at a time. Every record point ends a batch, so each recorded row sees the
+exact sequential state. `step` runs one event through the same core.
+Synchronous baselines (the lockstep ratio-tracking iteration and the
+parallel Jacobi round) live here too.
 """
 
 from __future__ import annotations
@@ -15,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as _metrics
+from . import schedule as _schedule
 from .graph import DiGraph, WeightMatrices
 from .objectives import Objective
-from .pushsum import _History
 from .schedule import Schedule
 
 
@@ -54,117 +65,267 @@ class StepSizePolicy:
 
 @dataclass
 class OptState:
+    """Engine state. Edges are numbered as in `g.edge_list` (sorted by sender).
+
+    The rings have `depth` S slots per agent or edge; the value of activation
+    count c sits in slot c % S. Zero rows that padded reads of the batch core
+    point at: the last row of `v_ring`, row E of every rho ring slot and of
+    `rho_tilde`, whose `w_edge`/`a_edge` weight is zero too.
+    """
+
     g: DiGraph
-    W: np.ndarray
-    A: np.ndarray
     objective: Objective
     n: int
-    x: np.ndarray          # (I, n)
-    z: np.ndarray          # (I, n) tracking variables
-    v_hist: list           # per agent, history of descent states v^t
-    rho: dict
-    rho_tilde: dict
-    tau: dict
-    tau_v: dict            # separate ages for the consensus stream (aliased when coupled)
+    x: np.ndarray           # (I, n)
+    z: np.ndarray           # (I, n) tracking variables
     grad_cache: np.ndarray  # (I, n), gradient of f_i at x_i
-    alpha: np.ndarray      # (I,) current local step values
-    t_local: np.ndarray    # (I,) activation counts
+    v_ring: np.ndarray      # (S*I + 1, n) descent states, row (count % S) * I + agent
+    rho_ring: np.ndarray    # (S*(E+1), n) cumulative tracking mass, row (sender count % S) * (E+1) + edge
+    rho_tilde: np.ndarray   # (E + 1, n) tracking mass consumed on each edge
+    # read resolution of event-by-event `step`; a compiled run needs none of it
+    published: np.ndarray   # (S, I) generation index from which each count is readable
+    consumed: np.ndarray    # (E,) sender count consumed on the tracking stream
+    consumed_v: np.ndarray  # (E,) the same on the consensus stream (aliased when coupled)
+    edge_src: np.ndarray    # (E,) sender of each edge
+    edge_id: dict           # (j, i) -> edge index
+    w_self: np.ndarray      # (I,) diagonal of W
+    a_self: np.ndarray      # (I,) diagonal of A
+    w_edge: np.ndarray      # (E + 1,) W[i, j] of edge (j, i)
+    a_edge: np.ndarray      # (E + 1,) A[i, j] of edge (j, i)
+    alpha: np.ndarray       # (I,) current local step values
+    t_local: np.ndarray     # (I,) activation counts
+    depth: int
     k: int = 0
     D_pad: int = 0
     couple_delays: bool = True
 
+    @property
+    def v_hist(self) -> list:
+        """Per-agent handles on the published descent states."""
+        return [_Published(self, i) for i in range(self.g.node_count)]
+
+
+class _Published:
+    """One agent's published descent state."""
+
+    def __init__(self, state: OptState, agent: int):
+        self.state = state
+        self.agent = agent
+
+    def append(self, step: int, value) -> None:
+        """Publish `value` as the agent's descent state from generation `step` on.
+
+        The ring keeps one value per activation count, so `step` may not
+        precede the agent's latest activation, whose value this replaces.
+        """
+        st, i = self.state, self.agent
+        row = int(st.t_local[i]) % st.depth
+        if step < st.published[row, i]:
+            raise ValueError(f"agent {i} last published at generation "
+                             f"{st.published[row, i]}, after {step}")
+        st.v_ring[row * st.g.node_count + i] = value
+
 
 def init(objective: Objective, g: DiGraph, weights: WeightMatrices, x0,
          schedule_D: int, policy: StepSizePolicy = None,
-         couple_delays: bool = True) -> OptState:
-    """Seed tracking variables with local gradients; zero-pad the v history."""
+         couple_delays: bool = True, depth: int = None) -> OptState:
+    """Seed tracking variables with local gradients; zero the published states.
+
+    `depth` is the ring depth S. `run` passes its compiled schedule's; the
+    default schedule_D + 2 holds every value a read can need while delays
+    stay within schedule_D.
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     I, n = x0.shape
     if I != g.node_count:
         raise ValueError("x0 must provide one row per agent")
+    S = schedule_D + 2 if depth is None else depth
+    E = len(g.edge_list)
+    src = np.array([j for j, _ in g.edge_list], dtype=np.intp)
+    dst = np.array([i for _, i in g.edge_list], dtype=np.intp)
     grad0 = np.vstack([objective.grad_i(i, x0[i]) for i in range(I)])
-    zero_vec = np.zeros(n)
-    v_hist = [_History(zero_vec) for _ in range(I)]
-    rho, rho_tilde, tau = {}, {}, {}
-    for e in g.edge_list:
-        rho[e] = _History(zero_vec)
-        rho_tilde[e] = zero_vec
-        tau[e] = -schedule_D
-    tau_v = tau if couple_delays else dict(tau)
+    published = np.full((S, I), np.iinfo(np.int64).max)
+    published[0] = np.iinfo(np.int64).min
+    consumed = np.zeros(E, dtype=np.intp)
     alpha0 = policy.alpha0 if (policy and policy.kind == "local-diminishing") else 0.0
     return OptState(
-        g=g, W=weights.W, A=weights.A, objective=objective, n=n,
-        x=x0.copy(), z=grad0.copy(), v_hist=v_hist,
-        rho=rho, rho_tilde=rho_tilde, tau=tau, tau_v=tau_v,
-        grad_cache=grad0, alpha=np.full(I, alpha0), t_local=np.zeros(I, dtype=int),
-        k=0, D_pad=schedule_D, couple_delays=couple_delays)
+        g=g, objective=objective, n=n, x=x0.copy(), z=grad0.copy(), grad_cache=grad0,
+        v_ring=np.zeros((S * I + 1, n)), rho_ring=np.zeros((S * (E + 1), n)),
+        rho_tilde=np.zeros((E + 1, n)), published=published, consumed=consumed,
+        consumed_v=consumed if couple_delays else consumed.copy(),
+        edge_src=src, edge_id={e: m for m, e in enumerate(g.edge_list)},
+        w_self=np.diag(weights.W).copy(), a_self=np.diag(weights.A).copy(),
+        w_edge=np.append(weights.W[dst, src], 0.0),
+        a_edge=np.append(weights.A[dst, src], 0.0),
+        alpha=np.full(I, alpha0), t_local=np.zeros(I, dtype=np.intp),
+        depth=S, k=0, D_pad=schedule_D, couple_delays=couple_delays)
 
 
-def _policy_gamma(state: OptState, policy: StepSizePolicy, agent: int) -> float:
+@dataclass
+class _Plan:
+    """A compiled schedule laid out as rows of the rings of its depth.
+
+    Row b of `bounds` holds where batch b starts: its first event, its first
+    padded in-edge read and its first out-edge push; row b + 1 where it ends.
+    The in-edge reads of a batch are laid out rank-major (every event's first
+    in-edge, then every event's second, ...) and padded to the batch's
+    largest in-degree with reads of the zero rows.
+    """
+
+    bounds: np.ndarray      # (B + 1, 3)
+    agent: np.ndarray
+    v_write: np.ndarray     # v_ring row of each event's new descent state
+    v_read: np.ndarray
+    rho_read: np.ndarray
+    out_write: np.ndarray   # rho_ring row each push writes
+    out_event: np.ndarray   # event that pushes it
+
+
+def _plan(cs: _schedule.CompiledSchedule, g: DiGraph) -> _Plan:
+    S, I, E = cs.depth, g.node_count, len(g.edge_list)
+    K, cuts = cs.agent.size, cs.batches
+    width = np.diff(cuts)
+    deg = np.diff(cs.indptr)
+    ranks = np.maximum.reduceat(deg, cuts[:-1]) if K else width
+    pad_off = np.zeros(width.size + 1, dtype=np.int64)
+    np.cumsum(ranks * width, out=pad_off[1:])
+    ev = np.repeat(np.arange(K, dtype=np.int32), deg)
+    batch = np.repeat(np.arange(width.size, dtype=np.int32), width)[ev]
+    pos = np.arange(ev.size, dtype=np.int32) - cs.indptr[ev]
+    pos *= width[batch]
+    pos += (pad_off[:-1] - cuts[:-1]).astype(np.int32)[batch]
+    pos += ev
+    del ev, batch
+    v_read = np.full(pad_off[-1], S * I, dtype=np.int32)
+    v_read[pos] = cs.consumed_v % S * I + cs.sender
+    rho_read = np.full(pad_off[-1], E, dtype=np.int32)
+    rho_read[pos] = cs.consumed % S * (E + 1) + cs.edge
+    del pos
+
+    # edge_list is sorted by sender, so an agent's out-edges are consecutive ids
+    out_deg = np.array([g.out_degree(i) for i in range(I)], dtype=np.int32)
+    od = out_deg[cs.agent]
+    out_ptr = np.zeros(K + 1, dtype=np.int32)
+    np.cumsum(od, out=out_ptr[1:])
+    out_event = np.repeat(np.arange(K, dtype=np.int32), od)
+    out_write = np.arange(out_event.size, dtype=np.int32) - out_ptr[out_event]
+    out_write += ((np.cumsum(out_deg) - out_deg)[cs.agent]
+                  + (cs.count + 1) % S * (E + 1))[out_event]
+    return _Plan(
+        bounds=np.column_stack([cuts, pad_off, out_ptr[cuts]]).astype(np.int32),
+        agent=cs.agent, v_write=(cs.count + 1) % S * I + cs.agent, v_read=v_read,
+        rho_read=rho_read, out_write=out_write, out_event=out_event)
+
+
+def _advance(st: OptState, p: _Plan, b: int, policy: StepSizePolicy):
+    """Apply batch b of plan p; returns the step sizes used and the new x rows.
+
+    Every event of a batch reads only values in force before the batch, so
+    all reads are gathered first and all writes scattered after. Sums run in
+    the sequential per-event order: own term first, then in-edges in order.
+    """
+    (lo, q0, o0), (hi, q1, o1) = p.bounds[b:b + 2].tolist()
+    a = p.agent[lo:hi]
+    B, n, E1 = hi - lo, st.n, st.edge_src.size + 1
     if policy.kind == "constant":
-        return policy.gamma
-    return float(state.alpha[agent])
+        gam = policy.gamma
+        v_new = st.x[a] - gam * st.z[a]
+    else:
+        gam = st.alpha[a]
+        st.alpha[a] = gam * (1.0 - policy.c * gam)
+        v_new = st.x[a] - gam[:, None] * st.z[a]
+
+    rr = p.rho_read[q0:q1]
+    pe = rr % E1
+    terms = np.empty(((q1 - q0) // B + 1, B, n))
+    flat = terms[1:].reshape(-1, n)
+    np.multiply(st.w_self[a, None], v_new, out=terms[0])
+    np.take(st.v_ring, p.v_read[q0:q1], axis=0, out=flat, mode="clip")
+    flat *= st.w_edge[pe, None]
+    x_new = terms.sum(axis=0)
+
+    g_new = np.empty_like(x_new)
+    grad_i = st.objective.grad_i
+    for c, i in enumerate(a.tolist()):
+        g_new[c] = grad_i(i, x_new[c])
+
+    np.add(st.z[a], g_new - st.grad_cache[a], out=terms[0])
+    np.take(st.rho_ring, rr, axis=0, out=flat, mode="clip")
+    consumed_before = st.rho_tilde[pe]
+    st.rho_tilde[pe] = flat
+    flat -= consumed_before
+    zhalf = terms.sum(axis=0)
+    st.z[a] = st.a_self[a, None] * zhalf
+
+    ow = p.out_write[o0:o1]
+    pushed = zhalf[p.out_event[o0:o1] - lo]
+    pushed *= st.a_edge[ow % E1, None]
+    st.rho_ring[ow] = st.rho_ring[(ow - E1) % st.rho_ring.shape[0]] + pushed
+    st.v_ring[p.v_write[lo:hi]] = v_new
+    st.x[a] = x_new
+    st.grad_cache[a] = g_new
+    st.t_local[a] += 1
+    return gam, x_new
+
+
+def _purged_count(st: OptState, k: int, j: int, i: int, d: int, current: int) -> int:
+    """Sender j's count at the purged index max(tau, k - d), read off the
+    published generations; raises when the ring no longer holds it."""
+    t = k - d
+    if d < 0 or t < -st.D_pad:
+        raise ValueError(f"event k={k}: delay {d} on edge ({j},{i}) is negative or "
+                         f"precedes the padded history window (D_pad={st.D_pad})")
+    S, pub = st.depth, st.published[:, j]
+    c = int(st.t_local[j])
+    floor = max(int(current), c - S + 1)
+    while c > floor and pub[c % S] > t:
+        c -= 1
+    if c > current and pub[c % S] > t:
+        raise ValueError(f"event k={k}: delay {d} on edge ({j},{i}) reaches past the "
+                         f"{S} states the history ring holds")
+    return c
+
+
+def _compile_event(st: OptState, event) -> _schedule.CompiledSchedule:
+    """`schedule.compile` for one event, resolved against the state."""
+    i, k = event.agent, event.k
+    ins = st.g.in_neighbors(i)
+    edge = [st.edge_id[(j, i)] for j in ins]
+    consumed = [_purged_count(st, k, j, i, event.delays[j], st.consumed[e])
+                for j, e in zip(ins, edge)]
+    consumed_v = consumed
+    if not st.couple_delays:
+        vd = event.v_delays or event.delays
+        consumed_v = [_purged_count(st, k, j, i, vd[j], st.consumed_v[e])
+                      for j, e in zip(ins, edge)]
+    arrays = (np.array(v, dtype=np.int32) for v in (
+        [i], [st.t_local[i]], [0, len(ins)], ins, edge, consumed, consumed_v, [0, 1]))
+    return _schedule.CompiledSchedule(*arrays, depth=st.depth)
 
 
 def step(state: OptState, event, policy: StepSizePolicy) -> float:
-    """One global iteration; returns the step size the active agent used."""
-    i = event.agent
-    k = event.k
-    g, W, A = state.g, state.W, state.A
-    ins = g.in_neighbors(i)
+    """One global iteration; returns the step size the active agent used.
 
-    for j in ins:
-        e = (j, i)
-        t = k - event.delays[j]
-        if t > state.tau[e]:
-            state.tau[e] = t
-        if not state.couple_delays:
-            dv = event.v_delays[j] if getattr(event, "v_delays", None) else event.delays[j]
-            tv = k - dv
-            if tv > state.tau_v[e]:
-                state.tau_v[e] = tv
-
-    gamma = _policy_gamma(state, policy, i)
-    v_new = state.x[i] - gamma * state.z[i]
-    state.v_hist[i].append(k + 1, v_new)
-
-    x_new = W[i, i] * v_new
-    for j in ins:
-        x_new = x_new + W[i, j] * state.v_hist[j].at(state.tau_v[(j, i)])
-
-    g_new = state.objective.grad_i(i, x_new)
-    zhalf = state.z[i] + (g_new - state.grad_cache[i])
-    for j in ins:
-        e = (j, i)
-        zhalf = zhalf + (state.rho[e].at(state.tau[e]) - state.rho_tilde[e])
-
-    state.z[i] = A[i, i] * zhalf
-    for j in g.out_neighbors(i):
-        e = (i, j)
-        state.rho[e].append(k + 1, state.rho[e].current() + A[j, i] * zhalf)
-    cutoff = k - state.D_pad
-    for j in ins:
-        e = (j, i)
-        state.rho_tilde[e] = state.rho[e].at(state.tau[e])
-        state.rho[e].prune(min(state.tau[e], cutoff))
-    state.v_hist[i].prune(cutoff)
-
-    state.x[i] = x_new
-    state.grad_cache[i] = g_new
-    state.t_local[i] += 1
-    if policy.kind == "local-diminishing":
-        a = state.alpha[i]
-        state.alpha[i] = a * (1.0 - policy.c * a)
-    state.k = k + 1
-    return gamma
+    The event runs through the batch core as a batch of one. Its reads are
+    resolved against the state, which therefore also records the consumed
+    counts and the generation from which the new descent state is readable.
+    """
+    cs = _compile_event(state, event)
+    gam, _ = _advance(state, _plan(cs, state.g), 0, policy)
+    state.consumed[cs.edge] = cs.consumed
+    state.consumed_v[cs.edge] = cs.consumed_v
+    state.published[state.t_local[event.agent] % state.depth, event.agent] = event.k + 1
+    state.k = event.k + 1
+    return gam if policy.kind == "constant" else float(gam[0])
 
 
 def tracking_mass_residual(state: OptState) -> float:
     """Relative gap in the invariant: agent plus in-flight tracking mass
     equals the sum of current local gradients."""
-    m = state.z.sum(axis=0)
-    for e in state.g.edge_list:
-        m = m + (state.rho[e].current() - state.rho_tilde[e])
+    E = state.edge_src.size
+    current = state.rho_ring[state.t_local[state.edge_src] % state.depth * (E + 1)
+                             + np.arange(E)]
+    m = np.concatenate([state.z, current - state.rho_tilde[:E]]).sum(axis=0)
     target = state.grad_cache.sum(axis=0)
     return float(np.linalg.norm(m - target) / (1.0 + np.linalg.norm(target)))
 
@@ -204,38 +365,40 @@ def run(objective: Objective, g: DiGraph, weights: WeightMatrices,
         couple_delays: bool = True) -> OptTrace:
     """Drive the engine through a certified schedule, recording merit traces.
 
-    Metric rows are emitted every `metrics_stride` events (plus the final
-    one). Aborts with DivergenceError when iterates leave the guard radius.
+    The schedule is compiled once and run batch by batch. Metric rows are
+    emitted every `metrics_stride` events (plus the final one). Aborts with
+    DivergenceError at the first event whose iterate leaves the guard radius
+    or is not finite.
     """
+    K, I = schedule.horizon, g.node_count
+    ks = np.arange(0, K, metrics_stride)
+    if K and ks[-1] != K - 1:
+        ks = np.append(ks, K - 1)
+    cs = _schedule.compile(schedule, g, couple_delays, stops=ks)
+    plan, depth = _plan(cs, g), cs.depth
+    del cs
     state = init(objective, g, weights, x0, schedule.certified_D, policy,
-                 couple_delays=couple_delays)
+                 couple_delays=couple_delays, depth=depth)
     guard = 1e8 * (1.0 + float(np.linalg.norm(state.x)))
-    K = schedule.horizon
-    record_at = set(range(0, K, metrics_stride))
-    record_at.add(K - 1)
-    ks, rounds, mscs, mfs, js, residuals, gammas = [], [], [], [], [], [], []
-    I = g.node_count
-    for ev in schedule.events:
-        gamma = step(state, ev, policy)
-        if float(np.linalg.norm(state.x[ev.agent])) > guard:
+    cut = plan.bounds[:, 0]
+    rows = np.empty((5, ks.size))  # Msc, MF, J, mass residual, gamma
+    r = 0
+    for b in range(cut.size - 1):
+        gam, x_new = _advance(state, plan, b, policy)
+        inside = np.linalg.norm(x_new, axis=1) <= guard
+        if not inside.all():
             raise DivergenceError(
-                f"iterate norm exceeded guard at k={ev.k}; reduce the step size")
-        if ev.k in record_at:
-            msc, mf, J, res, gm = _record(
-                objective, state.x, objective.x_star,
-                tracking_mass_residual(state), gamma)
-            ks.append(ev.k)
-            rounds.append(int(round_index[ev.k]) if round_index is not None
-                          else ev.k // I + 1)
-            mscs.append(msc)
-            mfs.append(mf)
-            js.append(J)
-            residuals.append(res)
-            gammas.append(gm)
-    return OptTrace(k=np.array(ks), round=np.array(rounds), Msc=np.array(mscs),
-                    MF=np.array(mfs), J=np.array(js),
-                    mass_residual=np.array(residuals), gamma=np.array(gammas),
-                    final_x=state.x.copy())
+                f"iterate norm exceeded guard or is not finite at "
+                f"k={cut[b] + np.argmin(inside)}; reduce the step size")
+        if r < ks.size and cut[b + 1] > ks[r]:  # the batch ends at record point ks[r]
+            rows[:, r] = _record(objective, state.x, objective.x_star,
+                                 tracking_mass_residual(state),
+                                 gam if policy.kind == "constant" else gam[-1])
+            r += 1
+    rounds = (np.asarray(round_index)[ks].astype(np.int64) if round_index is not None
+              else ks // I + 1)
+    return OptTrace(k=ks, round=rounds, Msc=rows[0], MF=rows[1], J=rows[2],
+                    mass_residual=rows[3], gamma=rows[4], final_x=state.x.copy())
 
 
 def induced_global_steps(schedule: Schedule, policy: StepSizePolicy) -> np.ndarray:

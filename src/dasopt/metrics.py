@@ -19,7 +19,7 @@ def merit_MF(x, objective) -> float:
     consensus disagreement; zero exactly at consensual stationary points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_bar = x.mean(axis=0)
-    g = objective.grad(x_bar)
+    g = objective.grad_fused(x_bar)
     return max(float(g @ g), float(np.sum((x - x_bar) ** 2)))
 
 

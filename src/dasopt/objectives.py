@@ -26,6 +26,7 @@ class Objective:
     reference_flagged: bool = False
     _fi: list = field(default=None, repr=False)
     _gi: list = field(default=None, repr=False)
+    _g_fused: object = field(default=None, repr=False)
 
     @property
     def C_L(self) -> float:
@@ -49,6 +50,16 @@ class Objective:
         for i in range(self.agent_count):
             g += self.grad_i(i, x)
         return g
+
+    def grad_fused(self, x: np.ndarray) -> np.ndarray:
+        """Full gradient from one evaluation over all agents' data.
+
+        Equal to `grad` up to rounding; falls back to it when the family
+        provides no fused form.
+        """
+        if self._g_fused is None:
+            return self.grad(x)
+        return self._g_fused(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +100,8 @@ def least_squares_objective(Ms, bs) -> Objective:
         name="least-squares", agent_count=I, dimension=n,
         lipschitz=lips, tau=0.0 if flagged else 2.0 * lam_min,
         x_star=x_star, reference_flagged=flagged,
-        _fi=[p[0] for p in pairs], _gi=[p[1] for p in pairs])
+        _fi=[p[0] for p in pairs], _gi=[p[1] for p in pairs],
+        _g_fused=lambda x: 2.0 * (H @ x - rhs))
 
 
 def make_least_squares(I: int, n: int, d_i: int, noise_var: float, seed: int) -> Objective:
@@ -230,14 +242,19 @@ def logistic_objective(dataset: ClassificationDataset, lam_reg: float) -> Object
 
         return f, gr
 
+    U_all = np.vstack(dataset.features)
+    y_all = np.concatenate(dataset.labels)
+
+    def fused(x):
+        r = y_all * (U_all @ x)
+        s = _sigmoid(r)
+        return (U_all.T @ (s * (1.0 - s) * y_all)) / total + 2.0 * (lam_reg / total) * x
+
     pairs = [make(i) for i in range(I)]
     obj = Objective(
         name="logistic", agent_count=I, dimension=n,
         lipschitz=lips, tau=2.0 * lam_reg / total,
-        _fi=[p[0] for p in pairs], _gi=[p[1] for p in pairs])
-
-    U_all = np.vstack(dataset.features)
-    y_all = np.concatenate(dataset.labels)
+        _fi=[p[0] for p in pairs], _gi=[p[1] for p in pairs], _g_fused=fused)
 
     def full_hess(x):
         r = y_all * (U_all @ x)
@@ -388,8 +405,18 @@ def make_robust_classification(dataset: ClassificationDataset, lam_reg: float) -
 
         return f, gr
 
+    U_all = np.vstack(dataset.features)
+    y_all = np.concatenate(dataset.labels)
+
+    def fused(x):
+        c = _robust_deriv_vec(y_all * (U_all @ x[:p] + x[p])) * y_all / total
+        g = np.empty(n)
+        g[:p] = U_all.T @ c + 2.0 * lam_reg * x[:p]
+        g[p] = float(np.sum(c))
+        return g
+
     pairs = [make(i) for i in range(I)]
     return Objective(
         name="robust-classification", agent_count=I, dimension=n,
         lipschitz=lips, tau=0.0, x_star=None,
-        _fi=[p_[0] for p_ in pairs], _gi=[p_[1] for p_ in pairs])
+        _fi=[p_[0] for p_ in pairs], _gi=[p_[1] for p_ in pairs], _g_fused=fused)

@@ -11,6 +11,7 @@ and packet-loss models are translated into these global-index delays by
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,150 @@ def verify_assumption5(s: Schedule) -> tuple:
     """Recompute (T, D) from the raw event list (certification oracle)."""
     fresh = _certify(s.events, s.n_agents)
     return fresh.certified_T, fresh.certified_D
+
+
+@dataclass(frozen=True)
+class CompiledSchedule:
+    """A schedule validated once and flattened into int32 arrays.
+
+    A generation index t names a sender's state after all of its activations
+    at events k' < t, so on a fixed schedule every purged read resolves to a
+    sender activation count. Event k activates `agent[k]`, which has acted
+    `count[k]` times before. Its in-edges are entries indptr[k]:indptr[k+1]
+    (CSR, in in-neighbor order): entry p reads from `sender[p]` over edge
+    `edge[p]`, an index into `graph.edge_list`. `consumed[p]` is the sender
+    count in force at the purged index tau = max(tau, k - d) on the tracking
+    stream and `consumed_v[p]` the same on the consensus stream (the same
+    array when delays are coupled).
+
+    Batch b is events batches[b]:batches[b+1]: no event of a batch reads a
+    count that another event of the batch produces, and no agent acts twice
+    in one. `depth` is the largest sender lag (sender activations since the
+    consumed count) plus two, so rings of that depth indexed by count mod
+    `depth` still hold every value a batch reads.
+    """
+
+    agent: np.ndarray
+    count: np.ndarray
+    indptr: np.ndarray
+    sender: np.ndarray
+    edge: np.ndarray
+    consumed: np.ndarray
+    consumed_v: np.ndarray
+    batches: np.ndarray
+    depth: int
+
+
+def compile(schedule: Schedule, graph: DiGraph, couple_delays: bool = True,
+            stops=()) -> CompiledSchedule:
+    """Validate `schedule` on `graph` and resolve every purged read to a count.
+
+    Raises ValueError naming k and the edge when an event's index is out of
+    order, a delay is missing or negative, or a delay reaches before the
+    padded history window (k - d < -certified_D). Events listed in `stops`
+    end their batch, so the state after each of them can be observed.
+    """
+    K, I = schedule.horizon, graph.node_count
+    ins = [graph.in_neighbors(i) for i in range(I)]
+    agents, delays, v_delays = [], array("i"), array("i")
+    for k, ev in enumerate(schedule.events):
+        i = ev.agent
+        if ev.k != k or not 0 <= i < I:
+            raise ValueError(f"event {k} has k={ev.k} and agent {i}; expected k={k} "
+                             f"and an agent in [0, {I})")
+        agents.append(i)
+        try:
+            delays.extend([ev.delays[j] for j in ins[i]])
+            if not couple_delays:
+                vd = ev.v_delays or ev.delays
+                v_delays.extend([vd[j] for j in ins[i]])
+        except KeyError as exc:
+            raise ValueError(f"event k={k}: no delay for edge ({exc.args[0]},{i})") from None
+
+    # every agent's in-edges, grouped by receiver in in-neighbor order
+    eid = {e: m for m, e in enumerate(graph.edge_list)}
+    in_src = np.array([j for i in range(I) for j in ins[i]], dtype=np.int32)
+    in_eid = np.array([eid[(j, i)] for i in range(I) for j in ins[i]], dtype=np.int32)
+    deg = np.array([len(n) for n in ins], dtype=np.int32)
+    agent = np.array(agents, dtype=np.int32)
+    indptr = np.zeros(K + 1, dtype=np.int32)
+    np.cumsum(deg[agent], out=indptr[1:])
+    ev = np.repeat(np.arange(K, dtype=np.int32), deg[agent])
+    slot = np.arange(ev.size, dtype=np.int32)
+    slot += ((np.cumsum(deg) - deg)[agent] - indptr[:-1])[ev]
+    sender, edge = in_src[slot], in_eid[slot]
+    del slot
+
+    # activations sorted by (agent, k): agent j's c-th is order[first[j] + c - 1]
+    order = np.argsort(agent, kind="stable")
+    first = np.zeros(I + 1, dtype=np.int64)
+    np.cumsum(np.bincount(agent, minlength=I), out=first[1:])
+    keys = agent[order] * np.int64(K + 1) + order
+    count = np.empty(K, dtype=np.int32)
+    count[order] = np.arange(K) - first[agent[order]]
+
+    def count_before(j, t, chunk=1 << 14):
+        """Activations of agent j at events before generation index t <= k,
+        in chunks that keep the int64 temporaries small."""
+        out = np.empty(j.size, dtype=np.int32)
+        for s in range(0, j.size, chunk):
+            js = j[s:s + chunk]
+            q = js * np.int64(K + 1)
+            q += np.maximum(t[s:s + chunk], 0)
+            out[s:s + chunk] = np.searchsorted(keys, q) - first[js]
+        return out
+
+    def producer(j, c):
+        """Event whose activation brought agent j's count to c; -1 for c = 0."""
+        return np.where(c > 0, order[np.maximum(first[j] + c - 1, 0)], -1)
+
+    by_edge = np.argsort(edge, kind="stable").astype(np.int32)
+
+    def purged(d):
+        d = np.frombuffer(d, dtype=np.int32)
+        t = ev - d
+        for bad, why in ((d < 0, "is negative"),
+                         (t < -schedule.certified_D, "precedes the padded history window "
+                          f"(D_pad={schedule.certified_D})")):
+            if bad.any():
+                p = int(np.argmax(bad))
+                raise ValueError(f"event k={ev[p]}: delay {d[p]} on edge "
+                                 f"({sender[p]},{agent[ev[p]]}) {why}")
+        c = count_before(sender, t)
+        del t
+        # tau = max(tau, k - d) per edge, in event order; counts are monotone in tau
+        run_max = edge[by_edge] * np.int64(K + 1)
+        run_max += c[by_edge]
+        np.maximum.accumulate(run_max, out=run_max)
+        c[by_edge] = run_max % (K + 1)
+        return c
+
+    consumed = purged(delays)
+    consumed_v = consumed if couple_delays else purged(v_delays)
+    now = count_before(sender, ev)
+    depth = int(max(np.max(now - consumed, initial=0),
+                    np.max(now - consumed_v, initial=0))) + 2
+    del by_edge, now
+
+    # latest earlier event each event depends on: its agent's previous
+    # activation and the producers of the counts it reads
+    last = producer(agent, count)
+    np.maximum.at(last, ev, producer(sender, consumed))
+    if not couple_delays:
+        np.maximum.at(last, ev, producer(sender, consumed_v))
+    ends = np.zeros(K + 1, dtype=bool)
+    ends[np.asarray(stops, dtype=np.int64) + 1] = True
+    cuts, start = array("i", [0]), 0
+    for k, (dep, after_stop) in enumerate(zip(memoryview(last), memoryview(ends))):
+        if k and (dep >= start or after_stop):
+            start = k
+            cuts.append(k)
+    if K:
+        cuts.append(K)
+    return CompiledSchedule(
+        agent=agent, count=count, indptr=indptr, sender=sender, edge=edge,
+        consumed=consumed, consumed_v=consumed_v,
+        batches=np.frombuffer(cuts, dtype=np.int32).copy(), depth=depth)
 
 
 def gen_cyclic_permuted(I: int, rounds: int, seed: int) -> list:

@@ -236,3 +236,19 @@ def test_synthetic_dataset_reproducible():
     b = objectives.make_synthetic_classification(3, 5, 4, seed=2)
     for Ua, Ub in zip(a.features, b.features):
         assert np.array_equal(Ua, Ub)
+
+
+@pytest.mark.parametrize("family", ["least-squares", "logistic", "robust-classification"])
+def test_fused_full_gradient_matches_per_agent_sum(family):
+    if family == "least-squares":
+        obj = objectives.make_least_squares(6, 8, 4, 0.04, seed=4)
+    elif family == "logistic":
+        obj = objectives.make_logistic(5, 6, 10, 0.05, seed=4)
+    else:
+        ds = objectives.make_synthetic_classification(5, 12, 13, seed=4)
+        obj = objectives.make_robust_classification(ds, 0.05)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = 0.5 * rng.normal(size=obj.dimension)
+        g = obj.grad(x)
+        assert np.linalg.norm(obj.grad_fused(x) - g) <= 1e-12 * np.linalg.norm(g)
