@@ -2,9 +2,13 @@
 
 Each edge of the original digraph gets one virtual node per delay value
 0..D holding in-flight mass; the asynchronous sum-push step then becomes a
-pair of dense linear maps (collect, split-and-shift) on the enlarged state.
-The oracle is O(S^2) per step and meant for small instances: the event-driven
-engine stays the production path, this module proves it right.
+pair of dense S x S linear maps (collect, split-and-shift) on the enlarged
+state, S = I + (D+1)|E|. Everything in those maps that does not depend on
+the event (the identity, every delay-chain shift, the deep self-loops) is
+built once per `AugmentedIndex`; each event copies it and patches only the
+active agent's rows and columns. A step then costs two dense S x S products,
+so the oracle is meant for small instances: the event-driven engine stays
+the production path, this module proves it right.
 """
 
 from __future__ import annotations
@@ -19,17 +23,49 @@ from .schedule import Schedule
 
 class AugmentedIndex:
     """Node enumeration: computing agents 0..I-1, then virtual node (j,i)^d
-    at I + d*|E| + edge_position."""
+    at I + d*|E| + edge_position.
+
+    The identity and the event-independent part of the split-and-shift map
+    are built here once; the matrix functions below only hand out copies.
+    """
 
     def __init__(self, g: DiGraph, D: int):
         self.g = g
         self.D = D
         self.edge_pos = {e: s for s, e in enumerate(g.edge_list)}
         self.n_edges = len(g.edge_list)
-        self.S = g.node_count + (D + 1) * self.n_edges
+        I = g.node_count
+        self.S = I + (D + 1) * self.n_edges
+        self.identity = np.eye(self.S)
+        # chains[d, s]: virtual node of edge s at delay d. Agents keep their
+        # mass, every chain shifts one delay deeper, the deepest accumulates.
+        chains = I + self.n_edges * np.arange(D + 1)[:, None] + np.arange(self.n_edges)
+        self.shift = np.zeros((self.S, self.S))
+        self.shift[:I, :I] = np.eye(I)
+        self.shift[chains[1:], chains[:-1]] = 1.0
+        self.shift[chains[D], chains[D]] = 1.0
+        # per agent: (out-neighbor j, fresh virtual node of edge (i, j))
+        self.fresh_out = [tuple((j, self.virtual((i, j), 0)) for j in g.out_neighbors(i))
+                          for i in range(I)]
 
     def virtual(self, edge, d: int) -> int:
         return self.g.node_count + d * self.n_edges + self.edge_pos[edge]
+
+
+def purge(tau: dict, event) -> dict:
+    """Advance `tau` by the purge rule tau = max(tau, k - d) over the event's
+    in-edges and return the effective (post-purge) age k - tau per
+    in-neighbor. The oracle's own copy of the rule, independent of `pushsum`.
+    """
+    i, k = event.agent, event.k
+    ages = {}
+    for j, d in event.delays.items():
+        e = (j, i)
+        t = k - d
+        if t > tau[e]:
+            tau[e] = t
+        ages[j] = k - tau[e]
+    return ages
 
 
 def build_sum_matrix(idx: AugmentedIndex, event, tau: dict) -> np.ndarray:
@@ -38,8 +74,9 @@ def build_sum_matrix(idx: AugmentedIndex, event, tau: dict) -> np.ndarray:
 
     `tau` must already reflect the purge for this event.
     """
-    S = idx.S
-    C = np.eye(S)
+    C = idx.identity.copy()
+    diag = C.reshape(-1)[::idx.S + 1]
+    E = idx.n_edges
     i = event.agent
     k = event.k
     for j in idx.g.in_neighbors(i):
@@ -48,10 +85,10 @@ def build_sum_matrix(idx: AugmentedIndex, event, tau: dict) -> np.ndarray:
         if d_lo > idx.D:
             raise ValueError(
                 f"edge ({j},{i}) consumed age {d_lo} exceeds the oracle's delay depth {idx.D}")
-        for d in range(max(0, d_lo), idx.D + 1):
-            m = idx.virtual(e, d)
-            C[m, m] = 0.0
-            C[i, m] = 1.0
+        # the edge's chain from delay d_lo down is every E-th node from here
+        first = idx.virtual(e, max(0, d_lo))
+        diag[first::E] = 0.0
+        C[i, first::E] = 1.0
     return C
 
 
@@ -60,19 +97,11 @@ def build_push_matrix(idx: AugmentedIndex, event, weights: WeightMatrices) -> np
     column-stochastic weights; every delay chain shifts by one, with the
     deepest node accumulating."""
     A = weights.A
-    S = np.zeros((idx.S, idx.S))
+    S = idx.shift.copy()
     i = event.agent
     S[i, i] = A[i, i]
-    for j in idx.g.out_neighbors(i):
-        S[idx.virtual((i, j), 0), i] = A[j, i]
-    for m in range(idx.g.node_count):
-        if m != i:
-            S[m, m] = 1.0
-    for e in idx.g.edge_list:
-        for d in range(idx.D):
-            S[idx.virtual(e, d + 1), idx.virtual(e, d)] = 1.0
-        deep = idx.virtual(e, idx.D)
-        S[deep, deep] = 1.0
+    for j, m in idx.fresh_out[i]:
+        S[m, i] = A[j, i]
     return S
 
 
@@ -103,12 +132,7 @@ def step_augmented(aug: AugmentedState, event, weights: WeightMatrices,
                    eps=None) -> AugmentedState:
     """One dense oracle step; evolves tau by the same purge rule as the engine."""
     i = event.agent
-    k = event.k
-    for j, d in event.delays.items():
-        e = (j, i)
-        t = k - d
-        if t > aug.tau[e]:
-            aug.tau[e] = t
+    purge(aug.tau, event)
     C = build_sum_matrix(aug.idx, event, aug.tau)
     Sm = build_push_matrix(aug.idx, event, weights)
     z_half = C @ aug.z_hat
@@ -116,23 +140,17 @@ def step_augmented(aug: AugmentedState, event, weights: WeightMatrices,
         z_half[i] = z_half[i] + eps
     aug.z_hat = Sm @ z_half
     aug.phi_hat = Sm @ (C @ aug.phi_hat)
-    aug.k = k + 1
+    aug.k = event.k + 1
     return aug
 
 
 def transition_matrix(aug: AugmentedState, event, weights: WeightMatrices) -> np.ndarray:
     """Advance tau and return the combined per-event transition (push o sum)."""
-    i = event.agent
-    k = event.k
-    for j, d in event.delays.items():
-        e = (j, i)
-        t = k - d
-        if t > aug.tau[e]:
-            aug.tau[e] = t
+    purge(aug.tau, event)
     M = build_push_matrix(aug.idx, event, weights) @ build_sum_matrix(aug.idx, event, aug.tau)
     aug.z_hat = M @ aug.z_hat
     aug.phi_hat = M @ aug.phi_hat
-    aug.k = k + 1
+    aug.k = event.k + 1
     return M
 
 
@@ -141,10 +159,11 @@ class EquivalenceReport:
     z_diff: float
     phi_diff: float
     edge_diff: float
+    edge_phi_diff: float = 0.0
 
     @property
     def max_diff(self) -> float:
-        return max(self.z_diff, self.phi_diff, self.edge_diff)
+        return max(self.z_diff, self.phi_diff, self.edge_diff, self.edge_phi_diff)
 
 
 def check_equivalence(engine_state, aug: AugmentedState) -> EquivalenceReport:
@@ -152,23 +171,27 @@ def check_equivalence(engine_state, aug: AugmentedState) -> EquivalenceReport:
 
     Besides the computing agents' z and phi, the per-edge unconsumed mass
     (sender cumulative minus receiver buffer) must equal the summed mass
-    sitting on that edge's virtual nodes.
+    sitting on that edge's virtual nodes, for z and, when the engine carries
+    it, for phi.
     """
-    g = engine_state.g
-    I = g.node_count
-    z_diff = float(np.max(np.abs(engine_state.z - aug.z_hat[:I])))
-    if hasattr(engine_state, "phi"):
-        phi_diff = float(np.max(np.abs(engine_state.phi - aug.phi_hat[:I])))
-    else:
-        phi_diff = 0.0
-    edge_diff = 0.0
-    for e in g.edge_list:
-        onway = np.zeros(engine_state.n)
-        for d in range(aug.idx.D + 1):
-            onway = onway + aug.z_hat[aug.idx.virtual(e, d)]
-        engine_onway = engine_state.rho[e].current() - engine_state.rho_tilde[e]
-        edge_diff = max(edge_diff, float(np.max(np.abs(engine_onway - onway))))
-    return EquivalenceReport(z_diff=z_diff, phi_diff=phi_diff, edge_diff=edge_diff)
+    st = engine_state
+    edges = st.g.edge_list
+    I = st.g.node_count
+    D1, E = aug.idx.D + 1, len(edges)
+    z_diff = float(abs(st.z - aug.z_hat[:I]).max())
+    onway = aug.z_hat[I:].reshape(D1, E, st.n).sum(axis=0)
+    sent, consumed = np.array([st.rho[e].current() for e in edges]
+                              + [st.rho_tilde[e] for e in edges]).reshape(2, E, st.n)
+    edge_diff = float(abs(sent - consumed - onway).max(initial=0.0))
+    phi_diff = edge_phi_diff = 0.0
+    if hasattr(st, "phi"):
+        phi_diff = float(abs(st.phi - aug.phi_hat[:I]).max())
+        phi_onway = aug.phi_hat[I:].reshape(D1, E).sum(axis=0)
+        sent, consumed = np.array([st.sigma[e].current() for e in edges]
+                                  + [st.sigma_tilde[e] for e in edges]).reshape(2, E)
+        edge_phi_diff = float(abs(sent - consumed - phi_onway).max(initial=0.0))
+    return EquivalenceReport(z_diff=z_diff, phi_diff=phi_diff, edge_diff=edge_diff,
+                             edge_phi_diff=edge_phi_diff)
 
 
 def scrambling_lower_bound(g: DiGraph, weights: WeightMatrices, schedule: Schedule,
@@ -240,14 +263,7 @@ def consensus_window_product(g: DiGraph, weights: WeightMatrices, schedule: Sche
     for ev in schedule.events:
         if ev.k >= start + K1:
             break
-        i = ev.agent
-        eff = {}
-        for j, d in ev.delays.items():
-            e = (j, i)
-            t = ev.k - d
-            if t > tau[e]:
-                tau[e] = t
-            eff[j] = ev.k - tau[e]
+        eff = purge(tau, ev)
         if ev.k >= start:
             M = build_consensus_matrix(g, weights, ev, eff, D)
             P = M if P is None else M @ P

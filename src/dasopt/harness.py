@@ -443,11 +443,7 @@ def _check_stochasticity(sizes, depths, seeds):
                 for ev in sched.events:
                     M = augmented.transition_matrix(aug, ev, w)
                     col = float(np.max(np.abs(M.sum(axis=0) - 1.0)))
-                    eff = {}
-                    for j, d in ev.delays.items():
-                        e = (j, ev.agent)
-                        tau[e] = max(tau[e], ev.k - d)
-                        eff[j] = ev.k - tau[e]
+                    eff = augmented.purge(tau, ev)
                     Wh = augmented.build_consensus_matrix(g, w, ev, eff, D)
                     row = float(np.max(np.abs(Wh.sum(axis=1) - 1.0)))
                     if col > worst_col or row > worst_row:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,9 +153,10 @@ class ClassificationDataset:
 def load_classification_text(text: str, I: int, delimiter=None) -> ClassificationDataset:
     """Parse delimited rows `feature ... feature label` into an agent partition.
 
-    Rows containing missing entries (`?` or unparsable fields) are dropped,
-    features are min-max scaled to [0, 1], labels map to -1/+1 (values <= 0
-    become -1), and rows are dealt round-robin to the I agents.
+    Rows containing missing entries (`?`, unparsable or non-finite fields such
+    as `nan` and `inf`) are dropped, features are min-max scaled to [0, 1],
+    labels map to -1/+1 (values <= 0 become -1), and rows are dealt
+    round-robin to the I agents.
     """
     rows = []
     for ln in io.StringIO(text):
@@ -165,6 +167,8 @@ def load_classification_text(text: str, I: int, delimiter=None) -> Classificatio
         try:
             vals = [float(p) for p in parts]
         except ValueError:
+            continue
+        if not all(math.isfinite(v) for v in vals):
             continue
         rows.append(vals)
     if not rows:

@@ -73,6 +73,8 @@ class SumPushState:
     k: int = 0
     D_pad: int = 0
     ratio_skips: int = 0
+    in_edges: tuple = ()     # per agent i: ((j, (j, i)), ...) over in-neighbors
+    out_edges: tuple = ()    # per agent i: (((i, j), A[j, i]), ...) over out-neighbors
 
 
 def init(g: DiGraph, weights: WeightMatrices, z0, schedule_D: int) -> SumPushState:
@@ -89,11 +91,14 @@ def init(g: DiGraph, weights: WeightMatrices, z0, schedule_D: int) -> SumPushSta
         rho_tilde[e] = zero_vec
         sigma_tilde[e] = 0.0
         tau[e] = -schedule_D
+    A = weights.A
+    in_edges = tuple(tuple((j, (j, i)) for j in g.in_neighbors(i)) for i in range(I))
+    out_edges = tuple(tuple(((i, j), A[j, i]) for j in g.out_neighbors(i)) for i in range(I))
     return SumPushState(
-        g=g, A=weights.A, n=n,
+        g=g, A=A, n=n,
         z=z0.copy(), phi=np.ones(I), y=z0.copy(),
         rho=rho, sigma=sigma, rho_tilde=rho_tilde, sigma_tilde=sigma_tilde,
-        tau=tau, k=0, D_pad=schedule_D)
+        tau=tau, k=0, D_pad=schedule_D, in_edges=in_edges, out_edges=out_edges)
 
 
 def step(state: SumPushState, event: Event, eps=None) -> SumPushState:
@@ -105,67 +110,66 @@ def step(state: SumPushState, event: Event, eps=None) -> SumPushState:
     """
     i = event.agent
     k = event.k
-    A = state.A
-    g = state.g
+    in_edges = state.in_edges[i]
+    tau = state.tau
 
-    for j in g.in_neighbors(i):
-        e = (j, i)
+    for j, e in in_edges:
         t = k - event.delays[j]
         if t < -state.D_pad:
             raise ValueError(
                 f"event k={k}: delay {event.delays[j]} on edge ({j},{i}) "
                 f"precedes the padded history window (D_pad={state.D_pad})")
-        if t > state.tau[e]:
-            state.tau[e] = t
+        if t > tau[e]:
+            tau[e] = t
 
-    zhalf = state.z[i].copy()
-    if eps is not None:
-        zhalf += eps
+    # sum the unconsumed mass of every in-edge, then mark it consumed; the
+    # in-edge histories are disjoint from the out-edges pushed to below
+    zhalf = state.z[i].copy() if eps is None else state.z[i] + eps
     phihalf = state.phi[i]
-    for j in g.in_neighbors(i):
-        e = (j, i)
-        t = state.tau[e]
-        zhalf += state.rho[e].at(t) - state.rho_tilde[e]
-        phihalf += state.sigma[e].at(t) - state.sigma_tilde[e]
+    for j, e in in_edges:
+        t = tau[e]
+        rho, sigma = state.rho[e], state.sigma[e]
+        r, s = rho.at(t), sigma.at(t)
+        zhalf += r - state.rho_tilde[e]
+        phihalf += s - state.sigma_tilde[e]
+        state.rho_tilde[e] = r
+        state.sigma_tilde[e] = s
+        rho.prune(t)
+        sigma.prune(t)
 
-    aii = A[i, i]
-    state.z[i] = aii * zhalf
-    state.phi[i] = aii * phihalf
-    for j in g.out_neighbors(i):
-        e = (i, j)
-        a = A[j, i]
-        state.rho[e].append(k + 1, state.rho[e].current() + a * zhalf)
-        state.sigma[e].append(k + 1, state.sigma[e].current() + a * phihalf)
+    aii = state.A[i, i]
+    state.z[i] = zi = aii * zhalf
+    state.phi[i] = phii = aii * phihalf
+    for e, a in state.out_edges[i]:
+        rho, sigma = state.rho[e], state.sigma[e]
+        rho.append(k + 1, rho.current() + a * zhalf)
+        sigma.append(k + 1, sigma.current() + a * phihalf)
 
-    for j in g.in_neighbors(i):
-        e = (j, i)
-        t = state.tau[e]
-        state.rho_tilde[e] = state.rho[e].at(t)
-        state.sigma_tilde[e] = state.sigma[e].at(t)
-        state.rho[e].prune(t)
-        state.sigma[e].prune(t)
-
-    if state.phi[i] <= PHI_FLOOR:
+    if phii <= PHI_FLOOR:
         state.ratio_skips += 1
     else:
-        state.y[i] = state.z[i] / state.phi[i]
+        state.y[i] = zi / phii
     state.k = k + 1
     return state
 
 
 def total_mass(state: SumPushState) -> np.ndarray:
-    """System total: sum of agent masses plus unconsumed in-flight mass."""
-    m = state.z.sum(axis=0)
-    for e in state.g.edge_list:
-        m = m + (state.rho[e].current() - state.rho_tilde[e])
-    return m
+    """System total: sum of agent masses plus unconsumed in-flight mass.
+
+    Read afresh from the state at every call, never kept as a running sum,
+    so it stays an independent check of the bookkeeping.
+    """
+    edges = state.g.edge_list
+    sent, consumed = np.array([state.rho[e].current() for e in edges]
+                              + [state.rho_tilde[e] for e in edges]).reshape(2, len(edges), state.n)
+    return np.concatenate([state.z, sent - consumed]).sum(axis=0)
 
 
 def total_phi_mass(state: SumPushState) -> float:
-    m = float(state.phi.sum())
-    for e in state.g.edge_list:
-        m += state.sigma[e].current() - state.sigma_tilde[e]
-    return m
+    edges = state.g.edge_list
+    sent, consumed = np.array([state.sigma[e].current() for e in edges]
+                              + [state.sigma_tilde[e] for e in edges]).reshape(2, len(edges))
+    return float(np.concatenate([state.phi, sent - consumed]).sum())
 
 
 class Perturbation:

@@ -45,8 +45,9 @@ class Schedule:
         return self.horizon
 
     def to_text(self) -> str:
-        """Replay trace: one `k agent j:d_j ...` line per event."""
-        lines = []
+        """Replay trace: an `# agents=I` header, then one `k agent j:d_j ...`
+        line per event. The header keeps agents that never act."""
+        lines = [f"# agents={self.n_agents}"]
         for ev in self.events:
             parts = [str(ev.k), str(ev.agent)]
             parts += [f"{j}:{d}" for j, d in sorted(ev.delays.items())]
@@ -56,9 +57,15 @@ class Schedule:
     @staticmethod
     def from_text(text: str) -> "Schedule":
         events = []
+        n_agents = None
         for ln in text.splitlines():
             ln = ln.strip()
-            if not ln or ln.startswith("#"):
+            if not ln:
+                continue
+            if ln.startswith("#"):
+                key, _, value = ln[1:].partition("=")
+                if key.strip() == "agents":
+                    n_agents = int(value)
                 continue
             toks = ln.split()
             k, agent = int(toks[0]), int(toks[1])
@@ -67,7 +74,9 @@ class Schedule:
                 j, d = t.split(":")
                 delays[int(j)] = int(d)
             events.append(Event(k=k, agent=agent, delays=delays))
-        return _certify(tuple(events))
+        if n_agents is not None and any(ev.agent >= n_agents for ev in events):
+            raise ValueError(f"an event's agent is outside the header's agents={n_agents}")
+        return _certify(tuple(events), n_agents)
 
 
 def _certify(events: tuple, n_agents: int = None, lost_packets: tuple = ()) -> Schedule:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: plain
 breadth-first searches, O(K^2) window scans, finite differences, running
-sums, and eigenvalue computations.
+sums, eigenvalue computations, and element-by-element loop transcriptions
+of the augmented-graph oracle.
 """
 
 import numpy as np
@@ -71,3 +72,86 @@ def companion_spectral_radius(coeffs):
     for r in range(1, m):
         comp[r, r - 1] = 1.0
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+
+# ---------------------------------------------------------------------------
+# augmented-graph oracle, one element at a time
+# ---------------------------------------------------------------------------
+
+def augmented_virtual(g, D, edge, d):
+    """Virtual node (j, i)^d: after the I agents, delay-major, edges in
+    `g.edge_list` order."""
+    return g.node_count + d * len(g.edge_list) + g.edge_list.index(edge)
+
+
+def augmented_sum_matrix(g, D, event, tau):
+    """Collect matrix: every virtual node of an in-edge at or beyond the
+    consumed age moves into the active agent."""
+    S = g.node_count + (D + 1) * len(g.edge_list)
+    C = np.eye(S)
+    i, k = event.agent, event.k
+    for j in g.in_neighbors(i):
+        e = (j, i)
+        d_lo = k - tau[e]
+        if d_lo > D:
+            raise ValueError(f"edge ({j},{i}) consumed age {d_lo} exceeds depth {D}")
+        for d in range(max(0, d_lo), D + 1):
+            m = augmented_virtual(g, D, e, d)
+            C[m, m] = 0.0
+            C[i, m] = 1.0
+    return C
+
+
+def augmented_push_matrix(g, D, event, A):
+    """Split-and-shift matrix built entry by entry from zero."""
+    S = np.zeros((g.node_count + (D + 1) * len(g.edge_list),) * 2)
+    i = event.agent
+    S[i, i] = A[i, i]
+    for j in g.out_neighbors(i):
+        S[augmented_virtual(g, D, (i, j), 0), i] = A[j, i]
+    for m in range(g.node_count):
+        if m != i:
+            S[m, m] = 1.0
+    for e in g.edge_list:
+        for d in range(D):
+            S[augmented_virtual(g, D, e, d + 1), augmented_virtual(g, D, e, d)] = 1.0
+        deep = augmented_virtual(g, D, e, D)
+        S[deep, deep] = 1.0
+    return S
+
+
+def augmented_equivalence(state, z_hat, phi_hat, D):
+    """(z, phi, edge z, edge phi) differences between a push-sum state and the
+    oracle, summing each edge's virtual nodes in delay order."""
+    g = state.g
+    I = g.node_count
+    z_diff = float(np.max(np.abs(state.z - z_hat[:I])))
+    phi_diff = float(np.max(np.abs(state.phi - phi_hat[:I])))
+    edge_diff = edge_phi_diff = 0.0
+    for e in g.edge_list:
+        onway = np.zeros(state.n)
+        phi_onway = 0.0
+        for d in range(D + 1):
+            onway = onway + z_hat[augmented_virtual(g, D, e, d)]
+            phi_onway = phi_onway + phi_hat[augmented_virtual(g, D, e, d)]
+        engine_onway = state.rho[e].current() - state.rho_tilde[e]
+        engine_phi = state.sigma[e].current() - state.sigma_tilde[e]
+        edge_diff = max(edge_diff, float(np.max(np.abs(engine_onway - onway))))
+        edge_phi_diff = max(edge_phi_diff, abs(float(engine_phi - phi_onway)))
+    return z_diff, phi_diff, edge_diff, edge_phi_diff
+
+
+def pushsum_masses(state):
+    """Running per-edge sums of (z mass, phi mass) and of their absolute terms."""
+    z_mass = state.z.sum(axis=0)
+    z_scale = np.abs(state.z).sum(axis=0)
+    phi_mass = float(state.phi.sum())
+    phi_scale = float(np.abs(state.phi).sum())
+    for e in state.g.edge_list:
+        dz = state.rho[e].current() - state.rho_tilde[e]
+        dphi = state.sigma[e].current() - state.sigma_tilde[e]
+        z_mass = z_mass + dz
+        z_scale = z_scale + np.abs(dz)
+        phi_mass += dphi
+        phi_scale += abs(dphi)
+    return z_mass, z_scale, phi_mass, phi_scale

@@ -252,3 +252,15 @@ def test_fused_full_gradient_matches_per_agent_sum(family):
         x = 0.5 * rng.normal(size=obj.dimension)
         g = obj.grad(x)
         assert np.linalg.norm(obj.grad_fused(x) - g) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_dataset_import_drops_non_finite_rows():
+    text = HEART_LIKE + "nan,1,120,236,0,178,0,0.8,1,0,3,0,5,3\n" \
+        + "56,1,inf,236,0,178,0,0.8,1,0,3,0,5,3\n" \
+        + "56,1,120,236,0,178,0,0.8,1,0,3,0,5,-inf\n"
+    ds = objectives.load_classification_text(text, I=2)
+    assert ds.total == 5  # as without the three non-finite rows
+    for U in ds.features:
+        assert np.all(np.isfinite(U))
+    with pytest.raises(ValueError, match="no usable rows"):
+        objectives.load_classification_text("nan 1 1\n1 inf 0\n", I=1)

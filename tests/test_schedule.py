@@ -254,3 +254,23 @@ def test_jacobi_rounds_point_to_round_boundary():
     T, D = schedule.verify_assumption5(sched)
     assert T <= 2 * 5 - 1
     assert D <= 4
+
+
+def test_schedule_text_round_trip_keeps_an_agent_that_never_acts():
+    g = graph.build_cycle_plus_random(3, 0, seed=0)
+    acts = [0, 1] * 20  # agent 2 never acts
+    sched = schedule.assign_delays(
+        acts, g, schedule.DelayModel(kind="traveling-time", D_tv=2, seed=1))
+    assert sched.n_agents == 3 and not sched.covering_ok
+    again = schedule.Schedule.from_text(sched.to_text())
+    assert (again.n_agents, again.certified_T, again.certified_D, again.covering_ok) == \
+        (sched.n_agents, sched.certified_T, sched.certified_D, sched.covering_ok)
+    # a headerless trace still loads, sizing the agent set from the events
+    headerless = "\n".join(ln for ln in sched.to_text().splitlines()
+                           if not ln.startswith("#"))
+    assert schedule.Schedule.from_text(headerless).n_agents == 2
+
+
+def test_schedule_text_header_must_cover_every_agent():
+    with pytest.raises(ValueError, match="agents=2"):
+        schedule.Schedule.from_text("# agents=2\n0 0\n1 2\n")
