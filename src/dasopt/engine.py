@@ -203,14 +203,8 @@ def _plan(cs: _schedule.CompiledSchedule, g: DiGraph) -> _Plan:
     del pos
 
     # edge_list is sorted by sender, so an agent's out-edges are consecutive ids
-    out_deg = np.array([g.out_degree(i) for i in range(I)], dtype=np.int32)
-    od = out_deg[cs.agent]
-    out_ptr = np.zeros(K + 1, dtype=np.int32)
-    np.cumsum(od, out=out_ptr[1:])
-    out_event = np.repeat(np.arange(K, dtype=np.int32), od)
-    out_write = np.arange(out_event.size, dtype=np.int32) - out_ptr[out_event]
-    out_write += ((np.cumsum(out_deg) - out_deg)[cs.agent]
-                  + (cs.count + 1) % S * (E + 1))[out_event]
+    out_ptr, out_event, out_write = _schedule._expand(_schedule._edge_lists(g)[3], cs.agent)
+    out_write += ((cs.count + 1) % S * (E + 1))[out_event]
     return _Plan(
         bounds=np.column_stack([cuts, pad_off, out_ptr[cuts]]).astype(np.int32),
         agent=cs.agent, v_write=(cs.count + 1) % S * I + cs.agent, v_read=v_read,
@@ -348,15 +342,9 @@ class OptTrace:
 
 
 def _record(objective, state_x, x_star, mass_res, gamma):
-    I = state_x.shape[0]
-    if x_star is not None:
-        msc = _metrics.merit_Msc(state_x, x_star)
-        J = msc / I
-    else:
-        msc = np.nan
-        J = np.nan
-    mf = _metrics.merit_MF(state_x, objective)
-    return msc, mf, J, mass_res, gamma
+    msc = _metrics.merit_Msc(state_x, x_star) if x_star is not None else np.nan
+    return (msc, _metrics.merit_MF(state_x, objective), msc / state_x.shape[0],
+            mass_res, gamma)
 
 
 def run(objective: Objective, g: DiGraph, weights: WeightMatrices,
@@ -407,10 +395,9 @@ def induced_global_steps(schedule: Schedule, policy: StepSizePolicy) -> np.ndarr
         raise ValueError("induced steps are defined for the local-diminishing policy")
     alpha = np.full(schedule.n_agents, policy.alpha0)
     out = np.empty(schedule.horizon)
-    for ev in schedule.events:
-        out[ev.k] = alpha[ev.agent]
-        a = alpha[ev.agent]
-        alpha[ev.agent] = a * (1.0 - policy.c * a)
+    for k, i in enumerate(schedule.agent.tolist()):
+        out[k] = a = alpha[i]
+        alpha[i] = a * (1.0 - policy.c * a)
     return out
 
 
@@ -442,7 +429,7 @@ def sync_tracking_run(objective: Objective, g: DiGraph, weights: WeightMatrices,
             return float(alpha_sequence)
         return float(alpha_sequence[r])
 
-    ks, rds, mscs, mfs, js, residuals, gammas = [], [], [], [], [], [], []
+    ks, rows = np.arange(rounds), np.empty((5, rounds))  # Msc, MF, J, mass residual, gamma
     for r in range(rounds):
         a_r = alpha_at(r)
         x = W @ (x - a_r * y)
@@ -455,18 +442,9 @@ def sync_tracking_run(objective: Objective, g: DiGraph, weights: WeightMatrices,
             raise DivergenceError(f"synchronous iterate diverged at round {r}")
         res = float(np.linalg.norm(z.sum(axis=0) - grads.sum(axis=0))
                     / (1.0 + np.linalg.norm(grads.sum(axis=0))))
-        msc, mf, J, res, gm = _record(objective, x, objective.x_star, res, a_r)
-        ks.append(r)
-        rds.append(r + 1)
-        mscs.append(msc)
-        mfs.append(mf)
-        js.append(J)
-        residuals.append(res)
-        gammas.append(gm)
-    return OptTrace(k=np.array(ks), round=np.array(rds), Msc=np.array(mscs),
-                    MF=np.array(mfs), J=np.array(js),
-                    mass_residual=np.array(residuals), gamma=np.array(gammas),
-                    final_x=x.copy())
+        rows[:, r] = _record(objective, x, objective.x_star, res, a_r)
+    return OptTrace(k=ks, round=ks + 1, Msc=rows[0], MF=rows[1], J=rows[2],
+                    mass_residual=rows[3], gamma=rows[4], final_x=x.copy())
 
 
 def run_parallel_rounds(objective: Objective, g: DiGraph, weights: WeightMatrices,

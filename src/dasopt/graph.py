@@ -163,10 +163,12 @@ def custom_weights(g: DiGraph, W: np.ndarray, A: np.ndarray) -> WeightMatrices:
     W = np.asarray(W, dtype=float)
     A = np.asarray(A, dtype=float)
     I = g.node_count
-    for name, M, transpose in (("W", W, False), ("A", A, True)):
+    # W[i, j] weighs what i reads from j and A[i, j] is the share j pushes to
+    # i: both are supported on edge (j, i) and the diagonal
+    for name, M in (("W", W), ("A", A)):
         for i in range(I):
             for j in range(I):
-                entry = M[i, j] if not transpose else M[j, i]
+                entry = M[i, j]
                 on_support = (j == i) or ((j, i) in g.edges)
                 if on_support and entry <= 0:
                     raise ValueError(f"{name} must be positive on edge ({j},{i}) and the diagonal")

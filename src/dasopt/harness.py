@@ -10,6 +10,7 @@ offsets from the replica seed (objective +0, graph +1000003, activations
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -118,36 +119,6 @@ def _build_objective(spec: dict, seed: int):
     raise ValueError(f"unknown objective family: {family}")
 
 
-def _build_graph(spec: dict, seed: int):
-    g = graph_mod.build_cycle_plus_random(
-        spec["I"], spec.get("extra_out_degree", 0), seed)
-    return g, graph_mod.build_uniform_weights(g)
-
-
-def _build_activations(spec: dict, I: int, seed: int):
-    model = spec.get("model", "cyclic-permuted")
-    rounds = spec.get("rounds", 100)
-    if model == "cyclic-permuted":
-        acts = schedule.gen_cyclic_permuted(I, rounds, seed)
-        bounds = np.repeat(np.arange(1, rounds + 1), I)
-        return acts, bounds
-    if model == "random-rounds":
-        acts, bounds = schedule.random_rounds_with_boundaries(
-            I, spec["T_max"], rounds, seed)
-        return acts, np.asarray(bounds)
-    raise ValueError(f"unknown activation model: {model}")
-
-
-def _build_delay_model(spec: dict, seed: int) -> schedule.DelayModel:
-    return schedule.DelayModel(
-        kind=spec.get("kind", "zero"),
-        D_tv=spec.get("D_tv", 0),
-        loss_rate=spec.get("loss_rate", 0.0),
-        D_ls=spec.get("D_ls", 1),
-        seed=seed,
-        hard_cap=spec.get("hard_cap"))
-
-
 def _x0(kind, I, n, seed):
     if kind == "zeros":
         return np.zeros((I, n))
@@ -164,13 +135,55 @@ def _policy(spec: dict):
     raise ValueError(f"unknown policy kind: {spec['kind']}")
 
 
-def _run_replica(config: dict, variant: dict, replica_seed: int):
-    obj = _build_objective(config["objective"], replica_seed)
-    g, w = _build_graph(config["graph"], replica_seed + _GRAPH_SEED_OFFSET)
-    acts, rounds_of_k = _build_activations(
-        config["activation"], g.node_count, replica_seed + _ACTIVATION_SEED_OFFSET)
+@dataclass
+class Instance:
+    """One replica's problem: objective (None without an "objective" spec),
+    graph and weights, activations with their 1-based rounds, and the delay
+    model that turns them into `sched`."""
+
+    objective: objectives.Objective
+    graph: graph_mod.DiGraph
+    weights: graph_mod.WeightMatrices
+    activations: list
+    rounds: np.ndarray
+    delay_model: schedule.DelayModel
+
+    @functools.cached_property
+    def sched(self) -> schedule.Schedule:
+        """The activations under the delay model, built on first use: the
+        synchronous variants never read it."""
+        return schedule.assign_delays(self.activations, self.graph, self.delay_model)
+
+
+def build_instance(config: dict, seed: int) -> Instance:
+    """The instance of replica seed `seed`, each component from its own offset."""
+    obj = _build_objective(config["objective"], seed) if "objective" in config else None
+    spec = config["graph"]
+    g = graph_mod.build_cycle_plus_random(spec["I"], spec.get("extra_out_degree", 0),
+                                          seed + _GRAPH_SEED_OFFSET)
+    spec, I = config["activation"], g.node_count
+    model, rounds = spec.get("model", "cyclic-permuted"), spec.get("rounds", 100)
+    if model == "cyclic-permuted":
+        acts = schedule.gen_cyclic_permuted(I, rounds, seed + _ACTIVATION_SEED_OFFSET)
+        round_of = np.repeat(np.arange(1, rounds + 1), I)
+    elif model == "random-rounds":
+        acts, round_of = schedule.random_rounds_with_boundaries(
+            I, spec["T_max"], rounds, seed + _ACTIVATION_SEED_OFFSET)
+        round_of = np.asarray(round_of)
+    else:
+        raise ValueError(f"unknown activation model: {model}")
+    spec = config.get("delay", {})
+    delay = schedule.DelayModel(
+        kind=spec.get("kind", "zero"), D_tv=spec.get("D_tv", 0),
+        loss_rate=spec.get("loss_rate", 0.0), D_ls=spec.get("D_ls", 1),
+        seed=seed + _DELAY_SEED_OFFSET, hard_cap=spec.get("hard_cap"))
+    return Instance(obj, g, graph_mod.build_uniform_weights(g), acts, round_of, delay)
+
+
+def _run_replica(config: dict, variant: dict, inst: Instance, replica_seed: int):
+    obj, g, w = inst.objective, inst.graph, inst.weights
     x0 = _x0(config.get("x0", "zeros"), g.node_count, obj.dimension, replica_seed)
-    n_rounds = int(rounds_of_k[-1])
+    n_rounds = int(inst.rounds[-1])
     if variant["kind"] == "sync":
         return engine.sync_tracking_run(obj, g, w, variant["alpha"], x0, n_rounds)
     if variant["kind"] == "sync-parallel":
@@ -178,39 +191,24 @@ def _run_replica(config: dict, variant: dict, replica_seed: int):
         return engine.run(obj, g, w, jac, _policy({"kind": "constant",
                                                    "gamma": variant["gamma"]}),
                           x0, metrics_stride=g.node_count)
-    sched = schedule.assign_delays(
-        acts, g, _build_delay_model(config.get("delay", {}),
-                                    replica_seed + _DELAY_SEED_OFFSET))
-    return engine.run(obj, g, w, sched, _policy(variant), x0,
+    return engine.run(obj, g, w, inst.sched, _policy(variant), x0,
                       metrics_stride=config.get("metrics_stride", 1),
-                      round_index=rounds_of_k)
+                      round_index=inst.rounds)
 
 
 def aggregate_mean(traces):
     """Arithmetic mean of the metric columns on the common record grid."""
     min_len = min(len(t.k) for t in traces)
-    cols = {}
-    for name in ("Msc", "MF", "J", "mass_residual", "gamma"):
-        stacked = np.vstack([getattr(t, name)[:min_len] for t in traces])
-        cols[name] = stacked.mean(axis=0)
-    cols["k"] = traces[0].k[:min_len]
-    cols["round"] = traces[0].round[:min_len]
+    cols = {name: np.vstack([getattr(t, name)[:min_len] for t in traces]).mean(axis=0)
+            for name in ("Msc", "MF", "J", "mass_residual", "gamma")}
+    cols.update(k=traces[0].k[:min_len], round=traces[0].round[:min_len])
     return cols
 
 
-def _write_trace_csv(path, trace):
+def _write_csv(path, header, rows):
     with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in trace.rows():
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_mean_csv(path, cols):
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for t in range(len(cols["k"])):
-            row = (cols["k"][t], cols["round"][t], cols["Msc"][t], cols["MF"][t],
-                   cols["J"][t], cols["mass_residual"][t], cols["gamma"][t])
+        fh.write(header + "\n")
+        for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -233,24 +231,30 @@ def run_experiment(config: dict, output_dir: str = None) -> dict:
         variants = [dict(config["policy"], label=config["policy"].get("label", "run"))]
     summary = {"name": name, "replicas": replicas, "master_seed": master,
                "variants": {}}
+    theory = None
     for variant in variants:
         label = variant["label"]
         traces = []
         diverged = []
         for r in range(replicas):
             seed = master + r
+            inst = build_instance(config, seed)
+            if theory is None:
+                theory = _theory_report(inst)
             try:
-                tr = _run_replica(config, variant, seed)
+                tr = _run_replica(config, variant, inst, seed)
             except engine.DivergenceError as exc:
                 diverged.append({"replica": r, "seed": seed, "error": str(exc)})
                 continue
             traces.append(tr)
-            _write_trace_csv(os.path.join(out, f"{label}_replica_{r:03d}.csv"), tr)
+            _write_csv(os.path.join(out, f"{label}_replica_{r:03d}.csv"), TRACE_HEADER,
+                       tr.rows())
         if not traces:
             summary["variants"][label] = {"diverged": diverged}
             continue
         cols = aggregate_mean(traces)
-        _write_mean_csv(os.path.join(out, f"{label}_mean.csv"), cols)
+        _write_csv(os.path.join(out, f"{label}_mean.csv"), TRACE_HEADER, zip(*(
+            cols[c] for c in ("k", "round", "Msc", "MF", "J", "mass_residual", "gamma"))))
         series = cols["J"] if np.all(np.isfinite(cols["J"])) else cols["MF"]
         ks, vals = _positive_tail(cols["k"], series)
         fit = metrics.fit_linear_rate(ks, vals) if ks.size >= 2 else (np.nan, np.nan)
@@ -263,7 +267,9 @@ def run_experiment(config: dict, output_dir: str = None) -> dict:
             "rate_r2": float(fit[1]),
             "diverged": diverged,
         }
-    _write_summary(os.path.join(out, "summary.txt"), config, summary)
+    if theory is None:
+        theory = _theory_report(build_instance(config, master))
+    _write_summary(os.path.join(out, "summary.txt"), summary, theory)
     return summary
 
 
@@ -277,19 +283,12 @@ def _positive_tail(ks, vals, fraction=0.5, floor=1e-13):
     return ks[start:], vals[start:]
 
 
-def _theory_report(config: dict) -> str:
-    """Theory constants for the configured instance, when representable."""
+def _theory_report(inst: Instance) -> str:
+    """Theory constants for an instance, when representable."""
     try:
-        seed = int(config.get("master_seed", 0))
-        obj = _build_objective(config["objective"], seed)
-        g, w = _build_graph(config["graph"], seed + _GRAPH_SEED_OFFSET)
-        acts, _ = _build_activations(config["activation"], g.node_count,
-                                     seed + _ACTIVATION_SEED_OFFSET)
-        sched = schedule.assign_delays(
-            acts, g, _build_delay_model(config.get("delay", {}),
-                                        seed + _DELAY_SEED_OFFSET))
+        obj, g, sched = inst.objective, inst.graph, inst.sched
         tc = metrics.theory_constants(
-            w.m_bar, g.node_count, len(g.edge_list),
+            inst.weights.m_bar, g.node_count, len(g.edge_list),
             sched.certified_T, sched.certified_D,
             obj.C_L, obj.L, obj.tau if obj.tau > 0 else 1e-12)
         return tc.report()
@@ -297,7 +296,7 @@ def _theory_report(config: dict) -> str:
         return f"theory constants unavailable: {exc}"
 
 
-def _write_summary(path, config, summary):
+def _write_summary(path, summary, theory):
     lines = [f"experiment = {summary['name']}",
              f"replicas = {summary['replicas']}",
              f"master_seed = {summary['master_seed']}"]
@@ -310,7 +309,7 @@ def _write_summary(path, config, summary):
             else:
                 lines.append(f"{label}.{key} = {_fmt(info[key])}")
     lines.append("[theory]")
-    lines.append(_theory_report(config))
+    lines.append(theory)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,12 +328,8 @@ def run_consensus_experiment(config: dict, output_dir: str = None) -> dict:
     finals = []
     for r in range(replicas):
         seed = master + r
-        g, w = _build_graph(config["graph"], seed + _GRAPH_SEED_OFFSET)
-        acts, _ = _build_activations(config["activation"], g.node_count,
-                                     seed + _ACTIVATION_SEED_OFFSET)
-        sched = schedule.assign_delays(
-            acts, g, _build_delay_model(config.get("delay", {}),
-                                        seed + _DELAY_SEED_OFFSET))
+        inst = build_instance(config, seed)
+        g, w, sched = inst.graph, inst.weights, inst.sched
         rng = np.random.default_rng(seed)
         n = int(config.get("dimension", 1))
         if config.get("kind") == "track":
@@ -344,12 +339,8 @@ def run_consensus_experiment(config: dict, output_dir: str = None) -> dict:
         else:
             z0 = rng.normal(size=(g.node_count, n))
             trace = pushsum.run_consensus(g, w, sched, z0)
-        with open(os.path.join(out, f"replica_{r:03d}.csv"), "w") as fh:
-            fh.write(CONSENSUS_HEADER + "\n")
-            for t in range(len(trace.k)):
-                fh.write(",".join(_fmt(v) for v in (
-                    trace.k[t], trace.active[t], trace.consensus_error[t],
-                    trace.mass_error[t])) + "\n")
+        _write_csv(os.path.join(out, f"replica_{r:03d}.csv"), CONSENSUS_HEADER,
+                   zip(trace.k, trace.active, trace.consensus_error, trace.mass_error))
         finals.append(float(trace.consensus_error[-1]))
     summary = {"name": name, "replicas": replicas,
                "final_errors": finals, "max_final_error": max(finals)}
@@ -386,14 +377,13 @@ def verify_suite(scale: str = "small") -> list:
         sizes, depths, steps, seeds = (3, 4, 5, 6, 8), (0, 1, 2, 3, 4, 5), 2000, range(30)
     else:
         raise ValueError("scale must be 'small' or 'full'")
-    results = [
+    return [
         _check_equivalence_and_mass(sizes, depths, steps, seeds),
         _check_stochasticity(sizes, depths, seeds),
         _check_scrambling(seeds),
         _check_consensus_decay(scale),
         _check_jacobi(),
     ]
-    return results
 
 
 def _check_equivalence_and_mass(sizes, depths, steps, seeds):

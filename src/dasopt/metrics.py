@@ -51,8 +51,7 @@ def fit_linear_rate(ks, values) -> tuple:
     resid = logs - (slope * ks + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    degenerate = ss_tot <= 1e-28 * max(1.0, float(logs @ logs))
-    if degenerate:
+    if ss_tot <= 1e-28 * max(1.0, float(logs @ logs)):  # degenerate: constant values
         return 0.0, 1.0
     return slope, 1.0 - ss_res / ss_tot
 
@@ -159,11 +158,6 @@ def theory_constants(m_bar: float, I: int, n_edges: int, T: int, D: int,
         J1=J1, gamma_hat1=gamma_hat1, gamma_hat2=gamma_hat2,
         gamma_bar1=gamma_bar1, gamma_bar2=gamma_bar2,
         rho_c=rho_c, rho_t=rho_t, alpha_star=alpha_star, beta_star=beta_star)
-
-
-def contraction_modulus(tc: TheoryConstants, gamma: float) -> float:
-    """The descent-map modulus 1 - tau * eta^2 * gamma (valid for gamma < 1/L)."""
-    return 1.0 - tc.tau * tc.eta ** 2 * gamma
 
 
 def stability_bound(tc: TheoryConstants, lam: float, gamma: float) -> float:

@@ -89,7 +89,9 @@ def least_squares_objective(Ms, bs) -> Objective:
         x_star = np.linalg.pinv(H) @ rhs
     else:
         x_star = np.linalg.solve(H, rhs)
-    lips = np.array([2.0 * float(np.linalg.eigvalsh(M.T @ M)[-1]) for M in Ms])
+    # lambda_max(M^T M) = lambda_max(M M^T): use the smaller Gram matrix
+    lips = np.array([2.0 * float(np.linalg.eigvalsh(M @ M.T if M.shape[0] < n else M.T @ M)[-1])
+                     for M in Ms])
 
     def make(i):
         M, b = Ms[i], bs[i]
@@ -225,11 +227,8 @@ def logistic_objective(dataset: ClassificationDataset, lam_reg: float) -> Object
     I = dataset.agent_count
     n = dataset.n_features
     total = dataset.total
-    lips = np.empty(I)
-    for i in range(I):
-        U = dataset.features[i]
-        lips[i] = (SIGMOID_CURVATURE * float(np.sum(U ** 2))
-                   + 2.0 * lam_reg / I) / total
+    lips = np.array([(SIGMOID_CURVATURE * float(np.sum(U ** 2)) + 2.0 * lam_reg / I) / total
+                     for U in dataset.features])
 
     def make(i):
         U, y = dataset.features[i], dataset.labels[i]
@@ -382,11 +381,8 @@ def make_robust_classification(dataset: ClassificationDataset, lam_reg: float) -
     p = dataset.n_features
     n = p + 1
     total = dataset.total
-    lips = np.empty(I)
-    for i in range(I):
-        U = dataset.features[i]
-        lips[i] = 1.5 * float(np.sum(np.sum(U ** 2, axis=1) + 1.0)) / total \
-            + 2.0 * lam_reg / I
+    lips = np.array([1.5 * float(np.sum(np.sum(U ** 2, axis=1) + 1.0)) / total
+                     + 2.0 * lam_reg / I for U in dataset.features])
 
     def make(i):
         U, y = dataset.features[i], dataset.labels[i]

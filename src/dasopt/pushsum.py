@@ -175,10 +175,9 @@ def total_phi_mass(state: SumPushState) -> float:
 class Perturbation:
     """Per-step exogenous perturbation fed to the active agent's sum."""
 
-    def __init__(self, kind, signals=None, sequence=None):
+    def __init__(self, kind, signals=None):
         self.kind = kind
         self.signals = signals
-        self.sequence = sequence
         self.u_tilde = None
 
     @staticmethod
@@ -195,11 +194,6 @@ class Perturbation:
         """
         return Perturbation("tracking", signals=signals)
 
-    @staticmethod
-    def custom(sequence):
-        """Explicit per-step sequence: array (K, n) or callable k -> (n,)."""
-        return Perturbation("custom", sequence=sequence)
-
     def _signal(self, k):
         if callable(self.signals):
             return np.asarray(self.signals(k), dtype=float)
@@ -209,9 +203,6 @@ class Perturbation:
         """Perturbation for the step-k event; call exactly once per step."""
         if self.kind == "zero":
             return None
-        if self.kind == "custom":
-            s = self.sequence(k) if callable(self.sequence) else self.sequence[k]
-            return np.atleast_1d(np.asarray(s, dtype=float))
         if self.u_tilde is None:
             self.u_tilde = np.atleast_2d(np.asarray(self._signal(0), dtype=float)).copy()
         u_next = np.atleast_2d(self._signal(k + 1))
@@ -227,7 +218,6 @@ class ConsensusTrace:
     consensus_error: np.ndarray
     mass_error: np.ndarray
     final_y: np.ndarray
-    ratio_skips: int = 0
 
 
 def _relative(err, ref):
@@ -280,5 +270,4 @@ def _run(state, schedule, pert, target, expected_mass):
             float(np.linalg.norm(total_mass(state) - expect)),
             float(np.linalg.norm(expect)))
     return ConsensusTrace(k=ks, active=active, consensus_error=cons_err,
-                          mass_error=mass_err, final_y=state.y.copy(),
-                          ratio_skips=state.ratio_skips)
+                          mass_error=mass_err, final_y=state.y.copy())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,71 +31,108 @@ class Event:
     v_delays: dict = None  # optional separate ages for the consensus stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    events: tuple
-    horizon: int
+    """A certified schedule in array form.
+
+    Event k claims index `k[k]` and activates `agent[k]`. Its delays are the
+    entries indptr[k]:indptr[k+1] (CSR, senders ascending): `delays[p]` is the
+    age of the read from `sender[p]`, and `v_delays[p]`, when present, the
+    age on the consensus stream. `events` is the same schedule as a tuple of
+    `Event`s, built on first use.
+    """
+
+    k: np.ndarray
+    agent: np.ndarray
+    indptr: np.ndarray
+    sender: np.ndarray
+    delays: np.ndarray
     n_agents: int
     certified_T: int
     certified_D: int
     covering_ok: bool = True  # False when no window of any length covers all agents
     lost_packets: tuple = ()  # ((j, i), stamp) pairs dropped by the loss model
+    v_delays: np.ndarray = None
+    _events: tuple = field(default=None, init=False, repr=False)
 
-    def __len__(self):
-        return self.horizon
+    @property
+    def horizon(self) -> int:
+        return len(self.agent)
+
+    @property
+    def events(self) -> tuple:
+        if self._events is None:
+            ptr, snd = self.indptr.tolist(), self.sender.tolist()
+            streams = [a.tolist() for a in (self.delays, self.v_delays) if a is not None]
+            object.__setattr__(self, "_events", tuple(
+                Event(k, a, *(dict(zip(snd[lo:hi], d[lo:hi])) for d in streams))
+                for k, a, lo, hi in zip(self.k.tolist(), self.agent.tolist(), ptr, ptr[1:])))
+        return self._events
 
     def to_text(self) -> str:
-        """Replay trace: an `# agents=I` header, then one `k agent j:d_j ...`
-        line per event. The header keeps agents that never act."""
+        """Replay trace: an `# agents=I` header, a `# lost=j,i:stamp ...` header
+        when packets were lost, then one `k agent j:d_j ...` line per event,
+        written `j:d_j/v_j` where the consensus-stream age differs. The header
+        keeps agents that never act."""
         lines = [f"# agents={self.n_agents}"]
+        if self.lost_packets:
+            lines.append("# lost=" + " ".join(f"{j},{i}:{s}" for (j, i), s in self.lost_packets))
         for ev in self.events:
-            parts = [str(ev.k), str(ev.agent)]
-            parts += [f"{j}:{d}" for j, d in sorted(ev.delays.items())]
-            lines.append(" ".join(parts))
+            vd = ev.v_delays or ev.delays
+            lines.append(" ".join([str(ev.k), str(ev.agent)] + [
+                f"{j}:{d}" + (f"/{vd[j]}" if vd[j] != d else "")
+                for j, d in sorted(ev.delays.items())]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "Schedule":
-        events = []
-        n_agents = None
+        events, head = [], {}
         for ln in text.splitlines():
             ln = ln.strip()
-            if not ln:
-                continue
             if ln.startswith("#"):
                 key, _, value = ln[1:].partition("=")
-                if key.strip() == "agents":
-                    n_agents = int(value)
-                continue
-            toks = ln.split()
-            k, agent = int(toks[0]), int(toks[1])
-            delays = {}
-            for t in toks[2:]:
-                j, d = t.split(":")
-                delays[int(j)] = int(d)
-            events.append(Event(k=k, agent=agent, delays=delays))
+                head[key.strip()] = value
+            elif ln:
+                k, agent, *reads = ln.split()
+                ages = [(int(j), *map(int, a.split("/"))) for j, _, a in
+                        (t.partition(":") for t in reads)]
+                events.append(Event(int(k), int(agent), {r[0]: r[1] for r in ages},
+                                    {r[0]: r[-1] for r in ages} if "/" in ln else None))
+        n_agents = int(head["agents"]) if "agents" in head else None
         if n_agents is not None and any(ev.agent >= n_agents for ev in events):
             raise ValueError(f"an event's agent is outside the header's agents={n_agents}")
-        return _certify(tuple(events), n_agents)
+        lost = [((j, i), s) for j, i, s in (map(int, t.replace(":", ",").split(","))
+                                            for t in head.get("lost", "").split())]
+        return _certify(events, n_agents, lost)
+
+
+def _certified(k, agent, indptr, sender, delays, v_delays=None, n_agents=None,
+               lost_packets=()) -> Schedule:
+    """Schedule from its arrays, with T and D certified."""
+    k, agent, indptr, sender, delays, v_delays = (
+        None if a is None else np.asarray(a, dtype=np.int32)
+        for a in (k, agent, indptr, sender, delays, v_delays))
+    if n_agents is None:
+        n_agents = int(agent.max()) + 1 if agent.size else 0
+    T, ok = _min_covering_window(agent, n_agents)
+    D = max(int(a.max(initial=0)) for a in (delays, v_delays) if a is not None)
+    return Schedule(k=k, agent=agent, indptr=indptr, sender=sender, delays=delays,
+                    n_agents=n_agents, certified_T=T, certified_D=D, covering_ok=ok,
+                    lost_packets=tuple(lost_packets), v_delays=v_delays)
 
 
 def _certify(events: tuple, n_agents: int = None, lost_packets: tuple = ()) -> Schedule:
-    activations = [ev.agent for ev in events]
-    if n_agents is None:
-        n_agents = max(activations) + 1 if activations else 0
-    T, ok = _min_covering_window(activations, n_agents)
-    D = 0
-    for ev in events:
-        for d in ev.delays.values():
-            if d > D:
-                D = d
-        if ev.v_delays:
-            for d in ev.v_delays.values():
-                if d > D:
-                    D = d
-    return Schedule(events=events, horizon=len(events), n_agents=n_agents,
-                    certified_T=T, certified_D=D, covering_ok=ok,
-                    lost_packets=lost_packets)
+    """Certified schedule whose `events` are exactly `events`."""
+    events = tuple(events)
+    items = [sorted(ev.delays.items()) for ev in events]
+    v_delays = ([(ev.v_delays or ev.delays)[j] for ev, it in zip(events, items) for j, _ in it]
+                if any(ev.v_delays for ev in events) else None)
+    sched = _certified([ev.k for ev in events], [ev.agent for ev in events],
+                       np.cumsum([0] + [len(it) for it in items]),
+                       [j for it in items for j, _ in it], [d for it in items for _, d in it],
+                       v_delays, n_agents, lost_packets)
+    object.__setattr__(sched, "_events", events)
+    return sched
 
 
 def _min_covering_window(activations, n_agents: int) -> tuple:
@@ -103,33 +140,55 @@ def _min_covering_window(activations, n_agents: int) -> tuple:
 
     Returns (horizon, False) when even the full horizon misses some agent.
     """
-    K = len(activations)
-    if K == 0 or len(set(activations)) < n_agents:
+    acts = np.asarray(activations, dtype=np.int64)
+    K = acts.size
+    if K == 0 or np.unique(acts).size < n_agents:
         return K, False
-    # cover_end[k]: first index t >= k such that [k..t] contains all agents
-    next_occ = [math.inf] * n_agents
-    cover_end = [math.inf] * K
-    for k in range(K - 1, -1, -1):
-        next_occ[activations[k]] = k
-        cover_end[k] = max(next_occ)
-    c = [e - k + 1 if e is not math.inf else math.inf
-         for k, e in enumerate(cover_end)]
-    prefix_max = []
-    running = 0
-    for v in c:
-        running = max(running, v)
-        prefix_max.append(running)
-    # minimal T with max(c[0..K-T]) <= T; the prefix maximum makes each probe O(1)
-    for T in range(n_agents, K + 1):
-        if prefix_max[K - T] <= T:
-            return T, True
-    return K, False
+    # the window from k ends at the largest p whose agent's previous
+    # activation precedes k, while every agent still acts at or after k
+    order = np.argsort(acts, kind="stable")
+    repeat = np.flatnonzero(acts[order][1:] == acts[order][:-1])
+    prev = np.full(K, -1, dtype=np.int64)
+    prev[order[repeat + 1]] = order[repeat]
+    cover_end = np.full(K, -1, dtype=np.int64)
+    np.maximum.at(cover_end, prev + 1, np.arange(K))
+    np.maximum.accumulate(cover_end, out=cover_end)
+    last = np.delete(order, repeat).min()  # the earliest last activation of an agent
+    c = np.where(np.arange(K) <= last, cover_end - np.arange(K) + 1, K + 1)
+    # minimal T with max(c[0..K-T]) <= T; the prefix maximum is monotone in T
+    np.maximum.accumulate(c, out=c)
+    T = np.arange(n_agents, K + 1)
+    fits = np.flatnonzero(c[K - T] <= T)
+    return (int(T[fits[0]]), True) if fits.size else (K, False)
 
 
 def verify_assumption5(s: Schedule) -> tuple:
     """Recompute (T, D) from the raw event list (certification oracle)."""
     fresh = _certify(s.events, s.n_agents)
     return fresh.certified_T, fresh.certified_D
+
+
+def _edge_lists(g: DiGraph):
+    """Edge ids grouped by receiver (in in-neighbor order) and by sender (in
+    out-neighbor order, which is `g.edge_list` order): the in-lists'
+    offsets, senders and edge ids, and the out-lists' offsets."""
+    E = np.array(g.edge_list, dtype=np.int32).reshape(-1, 2)
+    in_eid = np.lexsort((E[:, 0], E[:, 1])).astype(np.int32)
+    in_ptr, out_ptr = (np.r_[0, np.cumsum(np.bincount(E[:, c], minlength=g.node_count))]
+                       for c in (1, 0))
+    return in_ptr, E[in_eid, 0], in_eid, out_ptr
+
+
+def _expand(ptr, agent):
+    """Each event's slice ptr[a]:ptr[a+1] of its agent's list, in CSR form:
+    the offsets, the event of every entry and its position in the lists."""
+    deg = (ptr[1:] - ptr[:-1])[agent]
+    indptr = np.zeros(agent.size + 1, dtype=np.int32)
+    np.cumsum(deg, out=indptr[1:])
+    ev = np.repeat(np.arange(agent.size, dtype=np.int32), deg)
+    slot = np.arange(ev.size, dtype=np.int32)
+    slot += (ptr[:-1][agent] - indptr[:-1])[ev].astype(np.int32)
+    return indptr, ev, slot
 
 
 @dataclass(frozen=True)
@@ -174,35 +233,27 @@ def compile(schedule: Schedule, graph: DiGraph, couple_delays: bool = True,
     end their batch, so the state after each of them can be observed.
     """
     K, I = schedule.horizon, graph.node_count
-    ins = [graph.in_neighbors(i) for i in range(I)]
-    agents, delays, v_delays = [], array("i"), array("i")
-    for k, ev in enumerate(schedule.events):
-        i = ev.agent
-        if ev.k != k or not 0 <= i < I:
-            raise ValueError(f"event {k} has k={ev.k} and agent {i}; expected k={k} "
-                             f"and an agent in [0, {I})")
-        agents.append(i)
-        try:
-            delays.extend([ev.delays[j] for j in ins[i]])
-            if not couple_delays:
-                vd = ev.v_delays or ev.delays
-                v_delays.extend([vd[j] for j in ins[i]])
-        except KeyError as exc:
-            raise ValueError(f"event k={k}: no delay for edge ({exc.args[0]},{i})") from None
-
-    # every agent's in-edges, grouped by receiver in in-neighbor order
-    eid = {e: m for m, e in enumerate(graph.edge_list)}
-    in_src = np.array([j for i in range(I) for j in ins[i]], dtype=np.int32)
-    in_eid = np.array([eid[(j, i)] for i in range(I) for j in ins[i]], dtype=np.int32)
-    deg = np.array([len(n) for n in ins], dtype=np.int32)
-    agent = np.array(agents, dtype=np.int32)
-    indptr = np.zeros(K + 1, dtype=np.int32)
-    np.cumsum(deg[agent], out=indptr[1:])
-    ev = np.repeat(np.arange(K, dtype=np.int32), deg[agent])
-    slot = np.arange(ev.size, dtype=np.int32)
-    slot += ((np.cumsum(deg) - deg)[agent] - indptr[:-1])[ev]
+    agent = schedule.agent
+    bad = np.flatnonzero((schedule.k != np.arange(K)) | (agent < 0) | (agent >= I))
+    n_ok = int(bad[0]) if bad.size else K
+    # every event's in-edges in in-neighbor order, looked up among its delays
+    in_ptr, in_src, in_eid, _ = _edge_lists(graph)
+    indptr, ev, slot = _expand(in_ptr, agent[:n_ok])
     sender, edge = in_src[slot], in_eid[slot]
-    del slot
+    span = np.int64(max(I, int(schedule.sender.max(initial=0)) + 1))
+    have = np.r_[np.repeat(np.arange(K, dtype=np.int64) * span, np.diff(schedule.indptr))
+                 + schedule.sender, K * span]  # the last key exceeds every wanted one
+    want = ev * span + sender
+    at = np.searchsorted(have, want)
+    missing = np.flatnonzero(have[at] != want)
+    if missing.size:
+        p = missing[0]
+        raise ValueError(f"event k={ev[p]}: no delay for edge ({sender[p]},{agent[ev[p]]})")
+    if bad.size:
+        raise ValueError(f"event {n_ok} has k={schedule.k[n_ok]} and agent {agent[n_ok]}; "
+                         f"expected k={n_ok} and an agent in [0, {I})")
+    delays = schedule.delays[at]
+    v_delays = delays if schedule.v_delays is None else schedule.v_delays[at]
 
     # activations sorted by (agent, k): agent j's c-th is order[first[j] + c - 1]
     order = np.argsort(agent, kind="stable")
@@ -230,7 +281,6 @@ def compile(schedule: Schedule, graph: DiGraph, couple_delays: bool = True,
     by_edge = np.argsort(edge, kind="stable").astype(np.int32)
 
     def purged(d):
-        d = np.frombuffer(d, dtype=np.int32)
         t = ev - d
         for bad, why in ((d < 0, "is negative"),
                          (t < -schedule.certified_D, "precedes the padded history window "
@@ -281,10 +331,7 @@ def gen_cyclic_permuted(I: int, rounds: int, seed: int) -> list:
     if I < 1 or rounds < 1:
         raise ValueError("I and rounds must be >= 1")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(rounds):
-        out.extend(int(a) for a in rng.permutation(I))
-    return out
+    return [a for _ in range(rounds) for a in rng.permutation(I).tolist()]
 
 
 def gen_random_rounds(I: int, T_max: int, rounds: int, seed: int) -> list:
@@ -297,8 +344,7 @@ def random_rounds_with_boundaries(I: int, T_max: int, rounds: int, seed: int):
     if T_max < I:
         raise ValueError("T_max must be >= I")
     rng = np.random.default_rng(seed)
-    out = []
-    round_of = []
+    out, round_of = [], []
     for r in range(rounds):
         length = int(rng.integers(I, T_max + 1))
         block = list(range(I))
@@ -330,8 +376,6 @@ class DelayModel:
     hard_cap: int = None  # optional bound on emitted delays
 
     def __post_init__(self):
-        if self.kind == "uniform-traveling-time":
-            object.__setattr__(self, "kind", "traveling-time")
         if self.kind not in ("zero", "traveling-time", "traveling-time-with-loss"):
             raise ValueError(f"unknown delay model kind: {self.kind}")
         if self.D_tv < 0 or self.D_ls < 1 or not (0.0 <= self.loss_rate < 1.0):
@@ -345,56 +389,64 @@ def assign_delays(activations, g: DiGraph, model: DelayModel) -> Schedule:
     d_j^k makes k - d_j^k the generation index of the most recent packet from
     j that has arrived by step k (index 0, i.e. the zero initial state, when
     nothing has arrived yet). Self-information is never delayed.
+
+    Event k's agent sends one packet per out-edge, in out-neighbor order,
+    stamped k + 1. Each packet first draws its loss (while the edge's loss
+    streak is below D_ls - 1), then its traveling time.
     """
-    if not activations:
+    agent = np.asarray(activations, dtype=np.int32)
+    K, I = agent.size, g.node_count
+    if K == 0:
         raise ValueError("activation list is empty")
+    if agent.min() < 0 or agent.max() >= I:
+        raise ValueError(f"an activation is outside the graph's agents [0, {I})")
+    in_ptr, in_src, in_eid, out_ptr = _edge_lists(g)
+    indptr, q_ev, slot = _expand(in_ptr, agent)
+    sender, q_edge = in_src[slot], in_eid[slot]
+    if model.kind == "zero":
+        return _certified(np.arange(K), agent, indptr, sender,
+                          np.zeros(sender.size, dtype=np.int32), n_agents=I)
+
     rng = np.random.default_rng(model.seed)
-    # freshest arrived generation index per edge (j -> i), and in-flight packets
-    freshest = {e: 0 for e in g.edge_list}
-    in_flight = {e: [] for e in g.edge_list}  # (arrival_k, gen_index)
-    loss_streak = {e: 0 for e in g.edge_list}
-    lost = []
-    events = []
-    for k, agent in enumerate(activations):
-        delays = {}
-        for j in g.in_neighbors(agent):
-            e = (j, agent)
-            if model.kind == "zero":
-                delays[j] = 0
-                continue
-            kept = []
-            best = freshest[e]
-            for arrival, gen in in_flight[e]:
-                if arrival <= k:
-                    if gen > best:
-                        best = gen
-                else:
-                    kept.append((arrival, gen))
-            freshest[e] = best
-            in_flight[e] = kept
-            d = k - best
-            if model.hard_cap is not None and d > model.hard_cap:
-                raise UnboundedDelayError(
-                    f"edge ({j},{agent}) at k={k}: delay {d} exceeds hard cap "
-                    f"{model.hard_cap}; the loss model violates the bounded-delay assumption")
-            delays[j] = d
-        events.append(Event(k=k, agent=agent, delays=delays))
-        if model.kind == "zero":
-            continue
-        # the active agent sends one packet per out-edge, stamped k + 1
-        for i in g.out_neighbors(agent):
-            e = (agent, i)
-            dropped = (model.loss_rate > 0.0
-                       and loss_streak[e] < model.D_ls - 1
-                       and rng.random() < model.loss_rate)
-            travel = int(rng.integers(0, model.D_tv + 1)) if model.D_tv > 0 else 0
-            if dropped:
-                loss_streak[e] += 1
-                lost.append((e, k + 1))
+    _, p_ev, p_edge = _expand(out_ptr, agent)  # out-lists hold the edge ids in order
+    n, hi = p_ev.size, model.D_tv + 1
+    dropped, travel = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    if model.loss_rate > 0.0 and model.D_ls > 1:
+        streak = [0] * len(g.edge_list)
+        cap, rate, random, integers = model.D_ls - 1, model.loss_rate, rng.random, rng.integers
+        for p, e in enumerate(p_edge.tolist()):
+            if streak[e] < cap and random() < rate:
+                streak[e] += 1
+                dropped[p] = True
             else:
-                loss_streak[e] = 0
-                in_flight[e].append((k + 1 + travel, k + 1))
-    return _certify(tuple(events), g.node_count, tuple(lost))
+                streak[e] = 0
+            if hi > 1:
+                travel[p] = integers(0, hi)
+    elif hi > 1:
+        travel = rng.integers(0, hi, size=n)
+
+    # freshest delivered stamp per edge by each time: sort the packets by
+    # (edge, arrival), a lost one after every query, and keep a running
+    # maximum of the stamp, which the edge-led keys confine to each edge
+    stamp = p_ev + np.int64(1)
+    span = np.int64(K + hi + 1)
+    arrival = p_edge * span + np.where(dropped, K + hi, stamp + travel)
+    order = np.argsort(arrival, kind="stable")
+    fresh = np.r_[0, (p_edge * np.int64(K + 1) + stamp)[order]]
+    np.maximum.accumulate(fresh, out=fresh)
+    at = np.searchsorted(arrival[order], q_edge * span + q_ev, side="right")
+    delays = (q_ev - np.maximum(fresh[at] - q_edge * np.int64(K + 1), 0)).astype(np.int32)
+
+    if model.hard_cap is not None:
+        over = np.flatnonzero(delays > model.hard_cap)
+        if over.size:
+            p = over[0]
+            raise UnboundedDelayError(
+                f"edge ({sender[p]},{agent[q_ev[p]]}) at k={q_ev[p]}: delay {delays[p]} exceeds "
+                f"hard cap {model.hard_cap}; the loss model violates the bounded-delay assumption")
+    edges = g.edge_list
+    lost = [(edges[e], s) for e, s in zip(p_edge[dropped].tolist(), stamp[dropped].tolist())]
+    return _certified(np.arange(K), agent, indptr, sender, delays, None, I, lost)
 
 
 def gen_uniform_event_delays(activations, g: DiGraph, max_delay: int, seed: int) -> Schedule:
@@ -403,13 +455,12 @@ def gen_uniform_event_delays(activations, g: DiGraph, max_delay: int, seed: int)
     Bypasses the physical traveling-time translation; used to pin the delay
     bound D exactly when stress-testing engine invariants.
     """
-    rng = np.random.default_rng(seed)
-    events = []
-    for k, agent in enumerate(activations):
-        delays = {j: int(rng.integers(0, min(max_delay, k) + 1))
-                  for j in g.in_neighbors(agent)}
-        events.append(Event(k=k, agent=agent, delays=delays))
-    return _certify(tuple(events), g.node_count)
+    agent = np.asarray(activations, dtype=np.int32)
+    in_ptr, in_src, _, _ = _edge_lists(g)
+    indptr, ev, slot = _expand(in_ptr, agent)
+    delays = np.random.default_rng(seed).integers(0, np.minimum(max_delay, ev) + 1)
+    return _certified(np.arange(agent.size), agent, indptr, in_src[slot], delays,
+                      n_agents=g.node_count)
 
 
 def jacobi_rounds(g: DiGraph, rounds: int, seed: int = None) -> Schedule:
@@ -422,14 +473,13 @@ def jacobi_rounds(g: DiGraph, rounds: int, seed: int = None) -> Schedule:
     """
     I = g.node_count
     rng = np.random.default_rng(seed) if seed is not None else None
-    events = []
-    for r in range(rounds):
-        order = list(range(I)) if rng is None else [int(a) for a in rng.permutation(I)]
-        for m, agent in enumerate(order):
-            k = r * I + m
-            delays = {j: m for j in g.in_neighbors(agent)}  # k - m = r*I
-            events.append(Event(k=k, agent=agent, delays=delays))
-    return _certify(tuple(events), g.node_count)
+    agent = np.array([np.arange(I) if rng is None else rng.permutation(I)
+                      for _ in range(rounds)], dtype=np.int32).reshape(-1)
+    in_ptr, in_src, _, _ = _edge_lists(g)
+    indptr, ev, slot = _expand(in_ptr, agent)
+    # event k = r*I + m reads every in-neighbor at the round boundary: d = m
+    return _certified(np.arange(agent.size), agent, indptr, in_src[slot], ev % I,
+                      n_agents=I)
 
 
 def theory_TD_bounds(I: int, p_min: float, p_max: float, D_tv: float, D_ls: int) -> tuple:

@@ -63,6 +63,79 @@ def min_covering_window_bruteforce(activations, n_agents):
     return None
 
 
+def min_covering_window_loop(activations, n_agents):
+    """(T, covering) by a backward scan of each agent's next activation and a
+    prefix maximum; (K, False) when some agent never acts."""
+    K = len(activations)
+    if K == 0 or len(set(activations)) < n_agents:
+        return K, False
+    next_occ = [float("inf")] * n_agents
+    c = [0] * K
+    for k in range(K - 1, -1, -1):
+        next_occ[activations[k]] = k
+        c[k] = max(next_occ) - k + 1
+    prefix_max, running = [], 0
+    for v in c:
+        running = max(running, v)
+        prefix_max.append(running)
+    for T in range(n_agents, K + 1):
+        if prefix_max[K - T] <= T:
+            return T, True
+    return K, False
+
+
+def assign_delays_loop(activations, g, kind, D_tv, loss_rate, D_ls, seed, hard_cap=None):
+    """Packet-by-packet transcription of the traveling-time/loss channel.
+
+    Returns ([(k, agent, {j: d})], [((j, i), stamp)]) and raises ValueError
+    with the library's message when a delay exceeds `hard_cap`. Per event:
+    read each in-edge's freshest arrived stamp, then send one packet per
+    out-edge, drawing its loss and then its traveling time.
+    """
+    rng = np.random.default_rng(seed)
+    freshest = {e: 0 for e in g.edge_list}
+    in_flight = {e: [] for e in g.edge_list}  # (arrival_k, stamp)
+    loss_streak = {e: 0 for e in g.edge_list}
+    lost, events = [], []
+    for k, agent in enumerate(activations):
+        delays = {}
+        for j in g.in_neighbors(agent):
+            e = (j, agent)
+            if kind == "zero":
+                delays[j] = 0
+                continue
+            kept = []
+            best = freshest[e]
+            for arrival, gen in in_flight[e]:
+                if arrival <= k:
+                    best = max(best, gen)
+                else:
+                    kept.append((arrival, gen))
+            freshest[e] = best
+            in_flight[e] = kept
+            d = k - best
+            if hard_cap is not None and d > hard_cap:
+                raise ValueError(
+                    f"edge ({j},{agent}) at k={k}: delay {d} exceeds hard cap "
+                    f"{hard_cap}; the loss model violates the bounded-delay assumption")
+            delays[j] = d
+        events.append((k, agent, delays))
+        if kind == "zero":
+            continue
+        for i in g.out_neighbors(agent):
+            e = (agent, i)
+            dropped = (loss_rate > 0.0 and loss_streak[e] < D_ls - 1
+                       and rng.random() < loss_rate)
+            travel = int(rng.integers(0, D_tv + 1)) if D_tv > 0 else 0
+            if dropped:
+                loss_streak[e] += 1
+                lost.append((e, k + 1))
+            else:
+                loss_streak[e] = 0
+                in_flight[e].append((k + 1 + travel, k + 1))
+    return events, lost
+
+
 def companion_spectral_radius(coeffs):
     """Largest root magnitude of z^m - a_1 z^{m-1} - ... - a_m."""
     a = np.asarray(coeffs, dtype=float)

@@ -123,3 +123,13 @@ def test_edge_list_text_round_trip():
     g2 = graph.DiGraph.from_text(text)
     assert g2.node_count == g.node_count
     assert g2.edges == g.edges
+
+
+def test_custom_weights_accepts_uniform_weights_on_a_directed_cycle():
+    # A[j, i] is the share i pushes to j, so it lives on edge (i, j)
+    g = graph.build_cycle_plus_random(3, 0, seed=0)
+    w = graph.build_uniform_weights(g)
+    again = graph.custom_weights(g, w.W, w.A)
+    assert np.array_equal(again.A, w.A) and again.m_bar == w.m_bar
+    with pytest.raises(ValueError, match="A must be zero off"):
+        graph.custom_weights(g, w.W, w.A.T)
