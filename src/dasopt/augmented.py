@@ -166,32 +166,25 @@ class EquivalenceReport:
         return max(self.z_diff, self.phi_diff, self.edge_diff, self.edge_phi_diff)
 
 
-def check_equivalence(engine_state, aug: AugmentedState) -> EquivalenceReport:
-    """Compare the engine against the oracle evolved from the same data.
+def check_equivalence(st, aug: AugmentedState) -> EquivalenceReport:
+    """Compare a push-sum state against the oracle evolved from the same data.
 
     Besides the computing agents' z and phi, the per-edge unconsumed mass
     (sender cumulative minus receiver buffer) must equal the summed mass
-    sitting on that edge's virtual nodes, for z and, when the engine carries
-    it, for phi.
+    sitting on that edge's virtual nodes, for z and for phi. Both sides are
+    laid out as [z | phi] rows, agents first, then edges, and compared in one
+    difference.
     """
-    st = engine_state
-    edges = st.g.edge_list
-    I = st.g.node_count
-    D1, E = aug.idx.D + 1, len(edges)
-    z_diff = float(abs(st.z - aug.z_hat[:I]).max())
-    onway = aug.z_hat[I:].reshape(D1, E, st.n).sum(axis=0)
-    sent, consumed = np.array([st.rho[e].current() for e in edges]
-                              + [st.rho_tilde[e] for e in edges]).reshape(2, E, st.n)
-    edge_diff = float(abs(sent - consumed - onway).max(initial=0.0))
-    phi_diff = edge_phi_diff = 0.0
-    if hasattr(st, "phi"):
-        phi_diff = float(abs(st.phi - aug.phi_hat[:I]).max())
-        phi_onway = aug.phi_hat[I:].reshape(D1, E).sum(axis=0)
-        sent, consumed = np.array([st.sigma[e].current() for e in edges]
-                                  + [st.sigma_tilde[e] for e in edges]).reshape(2, E)
-        edge_phi_diff = float(abs(sent - consumed - phi_onway).max(initial=0.0))
-    return EquivalenceReport(z_diff=z_diff, phi_diff=phi_diff, edge_diff=edge_diff,
-                             edge_phi_diff=edge_phi_diff)
+    I, n, E = st.g.node_count, st.n, len(st.g.edge_list)
+    oracle = np.concatenate([aug.z_hat, aug.phi_hat[:, None]], axis=1)
+    onway = oracle[I:].reshape(aug.idx.D + 1, E, n + 1).sum(axis=0)
+    gap = abs(np.concatenate([st.zp, st.sent - st.consumed])
+              - np.concatenate([oracle[:I], onway]))
+    agents, edges = gap[:I], gap[I:]
+    return EquivalenceReport(
+        z_diff=float(agents[:, :n].max()), phi_diff=float(agents[:, n].max()),
+        edge_diff=float(edges[:, :n].max(initial=0.0)),
+        edge_phi_diff=float(edges[:, n].max(initial=0.0)))
 
 
 def scrambling_lower_bound(g: DiGraph, weights: WeightMatrices, schedule: Schedule,

@@ -386,8 +386,12 @@ def verify_suite(scale: str = "small") -> list:
     ]
 
 
+def _worst_at(name, where):
+    return f" ({name} worst at I={where[0]} D={where[1]} seed={where[2]} k={where[3]})"
+
+
 def _check_equivalence_and_mass(sizes, depths, steps, seeds):
-    worst_eq, worst_mass, where = 0.0, 0.0, ""
+    worst_eq, worst_mass, where_eq, where_mass = 0.0, 0.0, None, None
     for I in sizes:
         for D in depths:
             for s in seeds:
@@ -408,19 +412,20 @@ def _check_equivalence_and_mass(sizes, depths, steps, seeds):
                     rep = augmented.check_equivalence(st, aug)
                     mass = float(np.linalg.norm(pushsum.total_mass(st) - expected)
                                  / (1.0 + np.linalg.norm(expected)))
-                    if rep.max_diff > worst_eq or mass > worst_mass:
-                        where = f"I={I} D={D} seed={s} k={ev.k}"
-                    worst_eq = max(worst_eq, rep.max_diff)
-                    worst_mass = max(worst_mass, mass)
-    ok = worst_eq <= 1e-12 and worst_mass <= 1e-10
+                    if rep.max_diff > worst_eq:
+                        worst_eq, where_eq = rep.max_diff, (I, D, s, ev.k)
+                    if mass > worst_mass:
+                        worst_mass, where_mass = mass, (I, D, s, ev.k)
+    ok_eq, ok_mass = worst_eq <= 1e-12, worst_mass <= 1e-10
     return CheckResult(
-        "oracle-equivalence+mass-conservation", ok,
+        "oracle-equivalence+mass-conservation", ok_eq and ok_mass,
         f"max equivalence diff {worst_eq:.2e}, max mass residual {worst_mass:.2e}"
-        + ("" if ok else f" (worst at {where})"))
+        + ("" if ok_eq else _worst_at("equivalence", where_eq))
+        + ("" if ok_mass else _worst_at("mass residual", where_mass)))
 
 
 def _check_stochasticity(sizes, depths, seeds):
-    worst_col, worst_row, where = 0.0, 0.0, ""
+    worst_col, worst_row, where_col, where_row = 0.0, 0.0, None, None
     for I in sizes:
         for D in depths:
             for s in list(seeds)[:5]:
@@ -436,15 +441,16 @@ def _check_stochasticity(sizes, depths, seeds):
                     eff = augmented.purge(tau, ev)
                     Wh = augmented.build_consensus_matrix(g, w, ev, eff, D)
                     row = float(np.max(np.abs(Wh.sum(axis=1) - 1.0)))
-                    if col > worst_col or row > worst_row:
-                        where = f"I={I} D={D} seed={s} k={ev.k}"
-                    worst_col = max(worst_col, col)
-                    worst_row = max(worst_row, row)
-    ok = worst_col <= 1e-12 and worst_row <= 1e-12
+                    if col > worst_col:
+                        worst_col, where_col = col, (I, D, s, ev.k)
+                    if row > worst_row:
+                        worst_row, where_row = row, (I, D, s, ev.k)
+    ok_col, ok_row = worst_col <= 1e-12, worst_row <= 1e-12
     return CheckResult(
-        "transition-stochasticity", ok,
+        "transition-stochasticity", ok_col and ok_row,
         f"max column gap {worst_col:.2e}, max row gap {worst_row:.2e}"
-        + ("" if ok else f" (worst at {where})"))
+        + ("" if ok_col else _worst_at("column gap", where_col))
+        + ("" if ok_row else _worst_at("row gap", where_row)))
 
 
 def _check_scrambling(seeds):

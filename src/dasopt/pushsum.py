@@ -26,11 +26,11 @@ class RatioGuardError(RuntimeError):
 
 
 class _History:
-    """Rolling (step, value) changepoints of one cumulative edge quantity.
+    """Rolling (step, value) changepoints of one edge's cumulative [z | phi] mass.
 
-    Lookups resolve the value in force at a given generation index; entries
-    older than the consumed index are pruned, so memory stays proportional to
-    the sender's activity inside the delay window instead of the horizon.
+    `take` resolves the value in force at a generation index and prunes the
+    entries older than it, so memory stays proportional to the sender's
+    activity inside the delay window instead of the horizon.
     """
 
     __slots__ = ("steps", "vals")
@@ -43,38 +43,79 @@ class _History:
         self.steps.append(step)
         self.vals.append(value)
 
-    def at(self, step):
-        return self.vals[bisect_right(self.steps, step) - 1]
-
-    def current(self):
-        return self.vals[-1]
-
-    def prune(self, consumed):
-        # future queries never look below the consumed index (monotone purge)
-        cut = bisect_right(self.steps, consumed) - 1
+    def take(self, step):
+        # future reads never look below a consumed index (monotone purge)
+        cut = bisect_right(self.steps, step) - 1
+        value = self.vals[cut]
         if cut > 0:
             del self.steps[:cut]
             del self.vals[:cut]
+        return value
+
+
+class _EdgeMap:
+    """Edge-keyed view of per-edge rows (edges numbered as in `g.edge_list`):
+    reads copy out, writes go through. With `current`, items answer
+    `.current()` like the cumulative-mass histories they stand for."""
+
+    def __init__(self, pos, rows, col=None, current=False):
+        self.pos, self.rows, self.col, self.current = pos, rows, col, current
+
+    def __getitem__(self, e):
+        if self.col is None:
+            return self.rows[self.pos[e]]
+        v = self.rows[self.pos[e], self.col].copy()
+        return _Current(v) if self.current else v
+
+    def __setitem__(self, e, value):
+        if self.col is None:
+            self.rows[self.pos[e]] = value
+        else:
+            self.rows[self.pos[e], self.col] = value
+
+
+class _Current:
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def current(self):
+        return self.value
 
 
 @dataclass
 class SumPushState:
+    """Agent masses `zp` = [z | phi] (I, n+1); per edge id (as in
+    `g.edge_list`), `sent` is the sender's cumulative [z | phi] mass and
+    `consumed` what the receiver has taken, both (E, n+1); `hist` holds each
+    edge's changepoints for the delayed reads and `taus` its consumed age.
+    `z`, `phi`, `rho`, `sigma`, `rho_tilde`, `sigma_tilde` and `tau` are
+    views of these arrays keyed by agent or edge (j, i)."""
     g: DiGraph
     A: np.ndarray
     n: int
-    z: np.ndarray            # (I, n)
-    phi: np.ndarray          # (I,)
+    zp: np.ndarray
     y: np.ndarray            # (I, n)
-    rho: dict                # edge (j, i) -> _History of (n,) cumulative mass
-    sigma: dict              # edge (j, i) -> _History of float
-    rho_tilde: dict          # edge (j, i) -> (n,) consumed-mass buffer
-    sigma_tilde: dict
-    tau: dict                # edge (j, i) -> age of last consumed packet
+    sent: np.ndarray
+    consumed: np.ndarray
+    hist: list
+    taus: list
+    edge_pos: dict           # edge (j, i) -> edge id
+    eps_row: np.ndarray      # (n+1,) scratch row [eps | 0] for the perturbation
     k: int = 0
     D_pad: int = 0
     ratio_skips: int = 0
-    in_edges: tuple = ()     # per agent i: ((j, (j, i)), ...) over in-neighbors
-    out_edges: tuple = ()    # per agent i: (((i, j), A[j, i]), ...) over out-neighbors
+    in_edges: tuple = ()     # per agent i: ((j, id of (j, i)), ...) over in-neighbors
+    out_edges: tuple = ()    # per agent i: ((id of (i, j), A[j, i]), ...) over out-neighbors
+
+    z = property(lambda self: self.zp[:, :self.n])
+    phi = property(lambda self: self.zp[:, self.n])
+    rho = property(lambda self: _EdgeMap(self.edge_pos, self.sent, slice(0, self.n), True))
+    sigma = property(lambda self: _EdgeMap(self.edge_pos, self.sent, self.n, True))
+    rho_tilde = property(lambda self: _EdgeMap(self.edge_pos, self.consumed, slice(0, self.n)))
+    sigma_tilde = property(lambda self: _EdgeMap(self.edge_pos, self.consumed, self.n))
+    tau = property(lambda self: _EdgeMap(self.edge_pos, self.taus))
 
 
 def init(g: DiGraph, weights: WeightMatrices, z0, schedule_D: int) -> SumPushState:
@@ -83,93 +124,84 @@ def init(g: DiGraph, weights: WeightMatrices, z0, schedule_D: int) -> SumPushSta
     if z0.shape[0] != g.node_count:
         z0 = z0.T
     I, n = z0.shape
-    zero_vec = np.zeros(n)
-    rho, sigma, rho_tilde, sigma_tilde, tau = {}, {}, {}, {}, {}
-    for e in g.edge_list:
-        rho[e] = _History(zero_vec)
-        sigma[e] = _History(0.0)
-        rho_tilde[e] = zero_vec
-        sigma_tilde[e] = 0.0
-        tau[e] = -schedule_D
-    A = weights.A
-    in_edges = tuple(tuple((j, (j, i)) for j in g.in_neighbors(i)) for i in range(I))
-    out_edges = tuple(tuple(((i, j), A[j, i]) for j in g.out_neighbors(i)) for i in range(I))
+    E, A = len(g.edge_list), weights.A
+    pos = {e: s for s, e in enumerate(g.edge_list)}
+    zero = np.zeros(n + 1)
+    in_edges = tuple(tuple((j, pos[(j, i)]) for j in g.in_neighbors(i)) for i in range(I))
+    out_edges = tuple(tuple((pos[(i, j)], A[j, i]) for j in g.out_neighbors(i)) for i in range(I))
     return SumPushState(
-        g=g, A=A, n=n,
-        z=z0.copy(), phi=np.ones(I), y=z0.copy(),
-        rho=rho, sigma=sigma, rho_tilde=rho_tilde, sigma_tilde=sigma_tilde,
-        tau=tau, k=0, D_pad=schedule_D, in_edges=in_edges, out_edges=out_edges)
+        g=g, A=A, n=n, zp=np.column_stack([z0, np.ones(I)]), y=z0.copy(),
+        sent=np.zeros((E, n + 1)), consumed=np.zeros((E, n + 1)),
+        hist=[_History(zero) for _ in range(E)], taus=[-schedule_D] * E, edge_pos=pos,
+        eps_row=np.zeros(n + 1), k=0, D_pad=schedule_D, in_edges=in_edges, out_edges=out_edges)
 
 
 def step(state: SumPushState, event: Event, eps=None) -> SumPushState:
     """One global iteration: purge, sum, push, buffer update, ratio.
 
     Only the active agent's (z, phi, y), its outgoing cumulative masses and
-    its incoming buffers change. A nonpositive (underflowed) phi skips the
-    ratio and bumps `ratio_skips` instead of emitting NaN.
+    its incoming buffers change; z and phi move together as one [z | phi]
+    row. A nonpositive (underflowed) phi skips the ratio and bumps
+    `ratio_skips` instead of emitting NaN.
     """
     i = event.agent
     k = event.k
-    in_edges = state.in_edges[i]
-    tau = state.tau
+    delays = event.delays
+    n, zp, taus, hist, consumed = state.n, state.zp, state.taus, state.hist, state.consumed
 
-    for j, e in in_edges:
-        t = k - event.delays[j]
-        if t < -state.D_pad:
+    if eps is None:
+        half = zp[i].copy()
+    else:
+        state.eps_row[:n] = eps      # phi's column stays 0.0
+        half = zp[i] + state.eps_row
+    # purge, then sum the unconsumed mass of every in-edge and mark it
+    # consumed; the in-edges are disjoint from the out-edges pushed to below
+    for j, e in state.in_edges[i]:
+        d = delays[j]
+        t = k - d
+        if d < 0 or t < -state.D_pad:
             raise ValueError(
-                f"event k={k}: delay {event.delays[j]} on edge ({j},{i}) "
+                f"event k={k}: delay {d} on edge ({j},{i}) is negative or "
                 f"precedes the padded history window (D_pad={state.D_pad})")
-        if t > tau[e]:
-            tau[e] = t
+        if t > taus[e]:
+            taus[e] = t
+        r = hist[e].take(taus[e])
+        half += r - consumed[e]
+        consumed[e] = r
 
-    # sum the unconsumed mass of every in-edge, then mark it consumed; the
-    # in-edge histories are disjoint from the out-edges pushed to below
-    zhalf = state.z[i].copy() if eps is None else state.z[i] + eps
-    phihalf = state.phi[i]
-    for j, e in in_edges:
-        t = tau[e]
-        rho, sigma = state.rho[e], state.sigma[e]
-        r, s = rho.at(t), sigma.at(t)
-        zhalf += r - state.rho_tilde[e]
-        phihalf += s - state.sigma_tilde[e]
-        state.rho_tilde[e] = r
-        state.sigma_tilde[e] = s
-        rho.prune(t)
-        sigma.prune(t)
-
-    aii = state.A[i, i]
-    state.z[i] = zi = aii * zhalf
-    state.phi[i] = phii = aii * phihalf
+    zp[i] = state.A[i, i] * half
+    sent = state.sent
     for e, a in state.out_edges[i]:
-        rho, sigma = state.rho[e], state.sigma[e]
-        rho.append(k + 1, rho.current() + a * zhalf)
-        sigma.append(k + 1, sigma.current() + a * phihalf)
+        sent[e] = r = sent[e] + a * half
+        hist[e].append(k + 1, r)
 
+    phii = zp[i, n]
     if phii <= PHI_FLOOR:
         state.ratio_skips += 1
     else:
-        state.y[i] = zi / phii
+        state.y[i] = zp[i, :n] / phii
     state.k = k + 1
     return state
 
 
-def total_mass(state: SumPushState) -> np.ndarray:
-    """System total: sum of agent masses plus unconsumed in-flight mass.
+def _in_system(state: SumPushState) -> np.ndarray:
+    """Agent rows, then each edge's unconsumed mass, as [z | phi] columns.
 
     Read afresh from the state at every call, never kept as a running sum,
-    so it stays an independent check of the bookkeeping.
+    so it stays an independent check of the bookkeeping. Callers slice the
+    columns before summing, so each sum adds in the order of that column
+    alone, not of the wider row.
     """
-    edges = state.g.edge_list
-    sent, consumed = np.array([state.rho[e].current() for e in edges]
-                              + [state.rho_tilde[e] for e in edges]).reshape(2, len(edges), state.n)
-    return np.concatenate([state.z, sent - consumed]).sum(axis=0)
+    return np.concatenate([state.zp, state.sent - state.consumed])
+
+
+def total_mass(state: SumPushState) -> np.ndarray:
+    """System total: sum of agent masses plus unconsumed in-flight mass."""
+    return _in_system(state)[:, :state.n].sum(axis=0)
 
 
 def total_phi_mass(state: SumPushState) -> float:
-    edges = state.g.edge_list
-    sent, consumed = np.array([state.sigma[e].current() for e in edges]
-                              + [state.sigma_tilde[e] for e in edges]).reshape(2, len(edges))
-    return float(np.concatenate([state.phi, sent - consumed]).sum())
+    return float(_in_system(state)[:, state.n].sum())
 
 
 class Perturbation:

@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the library's own code paths: plain
 breadth-first searches, O(K^2) window scans, finite differences, running
-sums, eigenvalue computations, and element-by-element loop transcriptions
-of the augmented-graph oracle.
+sums, eigenvalue computations, element-by-element loop transcriptions
+of the augmented-graph oracle, and the dict-of-histories push-sum that the
+array state replaced.
 """
+
+from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -228,3 +232,80 @@ def pushsum_masses(state):
         phi_mass += dphi
         phi_scale += abs(dphi)
     return z_mass, z_scale, phi_mass, phi_scale
+
+
+# ---------------------------------------------------------------------------
+# push-sum on per-edge dicts of changepoint histories
+# ---------------------------------------------------------------------------
+
+class History:
+    """(step, value) changepoints of one cumulative edge quantity."""
+
+    def __init__(self, zero):
+        self.steps = [-(1 << 60)]
+        self.vals = [zero]
+
+    def append(self, step, value):
+        self.steps.append(step)
+        self.vals.append(value)
+
+    def at(self, step):
+        return self.vals[bisect_right(self.steps, step) - 1]
+
+    def current(self):
+        return self.vals[-1]
+
+    def prune(self, consumed):
+        cut = bisect_right(self.steps, consumed) - 1
+        if cut > 0:
+            del self.steps[:cut]
+            del self.vals[:cut]
+
+
+def pushsum_dict_init(g, A, z0, schedule_D):
+    """z, phi and y per agent; per edge (j, i) the cumulative masses `rho`
+    (z) and `sigma` (phi) as histories, the consumed buffers and the age."""
+    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
+    I, n = z0.shape
+    zero = np.zeros(n)
+    edges = g.edge_list
+    return SimpleNamespace(
+        g=g, A=A, n=n, z=z0.copy(), phi=np.ones(I), y=z0.copy(),
+        rho={e: History(zero) for e in edges}, sigma={e: History(0.0) for e in edges},
+        rho_tilde={e: zero for e in edges}, sigma_tilde={e: 0.0 for e in edges},
+        tau={e: -schedule_D for e in edges}, D_pad=schedule_D, ratio_skips=0)
+
+
+def pushsum_dict_step(state, event, eps=None):
+    """Purge every in-edge, sum its unconsumed z and phi mass, push the
+    shares to the out-edges, then take the ratio."""
+    i, k = event.agent, event.k
+    ins = [(j, (j, i)) for j in state.g.in_neighbors(i)]
+    for j, e in ins:
+        t = k - event.delays[j]
+        if t < -state.D_pad:
+            raise ValueError(f"event k={k}: delay on edge ({j},{i}) precedes the window")
+        state.tau[e] = max(state.tau[e], t)
+    zhalf = state.z[i].copy() if eps is None else state.z[i] + eps
+    phihalf = state.phi[i]
+    for j, e in ins:
+        t = state.tau[e]
+        r, s = state.rho[e].at(t), state.sigma[e].at(t)
+        zhalf += r - state.rho_tilde[e]
+        phihalf += s - state.sigma_tilde[e]
+        state.rho_tilde[e] = r
+        state.sigma_tilde[e] = s
+        state.rho[e].prune(t)
+        state.sigma[e].prune(t)
+    aii = state.A[i, i]
+    state.z[i] = zi = aii * zhalf
+    state.phi[i] = phii = aii * phihalf
+    for j in state.g.out_neighbors(i):
+        e = (i, j)
+        state.rho[e].append(k + 1, state.rho[e].current() + state.A[j, i] * zhalf)
+        state.sigma[e].append(k + 1, state.sigma[e].current() + state.A[j, i] * phihalf)
+    if phii <= 1e-300:
+        state.ratio_skips += 1
+    else:
+        state.y[i] = zi / phii
+    return state
