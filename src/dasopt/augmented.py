@@ -163,7 +163,10 @@ class EquivalenceReport:
 
     @property
     def max_diff(self) -> float:
-        return max(self.z_diff, self.phi_diff, self.edge_diff, self.edge_phi_diff)
+        """The largest gap; NaN if any gap is NaN, which `max` alone can drop."""
+        diffs = (self.z_diff, self.phi_diff, self.edge_diff, self.edge_phi_diff)
+        total = sum(diffs)  # NaN iff some gap is NaN: the gaps are >= 0
+        return max(diffs) if total == total else total
 
 
 def check_equivalence(st, aug: AugmentedState) -> EquivalenceReport:

@@ -390,6 +390,12 @@ def _worst_at(name, where):
     return f" ({name} worst at I={where[0]} D={where[1]} seed={where[2]} k={where[3]})"
 
 
+def _worse(value, worst) -> bool:
+    """Whether `value` replaces `worst` as the largest seen: the first NaN or
+    inf becomes the worst and stays it, so no check passes over one."""
+    return not value <= worst and worst < np.inf
+
+
 def _check_equivalence_and_mass(sizes, depths, steps, seeds):
     worst_eq, worst_mass, where_eq, where_mass = 0.0, 0.0, None, None
     for I in sizes:
@@ -412,9 +418,9 @@ def _check_equivalence_and_mass(sizes, depths, steps, seeds):
                     rep = augmented.check_equivalence(st, aug)
                     mass = float(np.linalg.norm(pushsum.total_mass(st) - expected)
                                  / (1.0 + np.linalg.norm(expected)))
-                    if rep.max_diff > worst_eq:
+                    if _worse(rep.max_diff, worst_eq):
                         worst_eq, where_eq = rep.max_diff, (I, D, s, ev.k)
-                    if mass > worst_mass:
+                    if _worse(mass, worst_mass):
                         worst_mass, where_mass = mass, (I, D, s, ev.k)
     ok_eq, ok_mass = worst_eq <= 1e-12, worst_mass <= 1e-10
     return CheckResult(
@@ -441,9 +447,9 @@ def _check_stochasticity(sizes, depths, seeds):
                     eff = augmented.purge(tau, ev)
                     Wh = augmented.build_consensus_matrix(g, w, ev, eff, D)
                     row = float(np.max(np.abs(Wh.sum(axis=1) - 1.0)))
-                    if col > worst_col:
+                    if _worse(col, worst_col):
                         worst_col, where_col = col, (I, D, s, ev.k)
-                    if row > worst_row:
+                    if _worse(row, worst_row):
                         worst_row, where_row = row, (I, D, s, ev.k)
     ok_col, ok_row = worst_col <= 1e-12, worst_row <= 1e-12
     return CheckResult(
@@ -467,7 +473,7 @@ def _check_scrambling(seeds):
             for start in range(0, sched.horizon - K1, step_by):
                 lo, bound = augmented.scrambling_lower_bound(g, w, sched, start)
                 worst_margin = min(worst_margin, lo - bound)
-                if lo < bound:
+                if not lo >= bound:
                     failures.append(f"I={I} seed={s} start={start}: {lo:.3e} < {bound:.3e}")
     ok = not failures
     return CheckResult("scrambling-lower-bound", ok,
@@ -495,15 +501,16 @@ def _check_jacobi():
     obj = objectives.make_least_squares(5, 6, 3, 0.04, seed=7)
     sched = schedule.jacobi_rounds(g, 40, seed=11)
     xs, zs = engine.run_parallel_rounds(obj, g, w, 0.3, np.zeros((5, 6)), 40)
-    st = engine.init(obj, g, w, np.zeros((5, 6)), sched.certified_D,
-                     engine.StepSizePolicy.constant(0.3))
     pol = engine.StepSizePolicy.constant(0.3)
-    worst = 0.0
+    st = engine.init(obj, g, w, np.zeros((5, 6)), sched.certified_D, pol)
+    worst, where = 0.0, None
     for ev in sched.events:
         engine.step(st, ev, pol)
         if (ev.k + 1) % 5 == 0:
             r = (ev.k + 1) // 5
-            worst = max(worst, float(np.max(np.abs(st.x - xs[r]))),
-                        float(np.max(np.abs(st.z - zs[r]))))
+            for diff in (float(np.max(np.abs(st.x - xs[r]))), float(np.max(np.abs(st.z - zs[r])))):
+                if _worse(diff, worst):
+                    worst, where = diff, r
     ok = worst <= 1e-12
-    return CheckResult("jacobi-parallel-equivalence", ok, f"max per-round diff {worst:.2e}")
+    return CheckResult("jacobi-parallel-equivalence", ok, f"max per-round diff {worst:.2e}"
+                       + ("" if ok else f" (worst at round {where})"))

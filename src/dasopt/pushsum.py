@@ -204,45 +204,6 @@ def total_phi_mass(state: SumPushState) -> float:
     return float(_in_system(state)[:, state.n].sum())
 
 
-class Perturbation:
-    """Per-step exogenous perturbation fed to the active agent's sum."""
-
-    def __init__(self, kind, signals=None):
-        self.kind = kind
-        self.signals = signals
-        self.u_tilde = None
-
-    @staticmethod
-    def zero():
-        return Perturbation("zero")
-
-    @staticmethod
-    def tracking(signals):
-        """Track the running average of per-agent signals.
-
-        `signals` is either an array of shape (K+1, I, n) or a callable
-        k -> (I, n). The perturbation at step k is the active agent's signal
-        increment since its last activation; z0 must be set to the k=0 signal.
-        """
-        return Perturbation("tracking", signals=signals)
-
-    def _signal(self, k):
-        if callable(self.signals):
-            return np.asarray(self.signals(k), dtype=float)
-        return self.signals[k]
-
-    def value(self, k, agent):
-        """Perturbation for the step-k event; call exactly once per step."""
-        if self.kind == "zero":
-            return None
-        if self.u_tilde is None:
-            self.u_tilde = np.atleast_2d(np.asarray(self._signal(0), dtype=float)).copy()
-        u_next = np.atleast_2d(self._signal(k + 1))
-        eps = u_next[agent] - self.u_tilde[agent]
-        self.u_tilde[agent] = u_next[agent]
-        return eps
-
-
 @dataclass
 class ConsensusTrace:
     k: np.ndarray
@@ -252,54 +213,44 @@ class ConsensusTrace:
     final_y: np.ndarray
 
 
-def _relative(err, ref):
-    return err / (1.0 + ref)
-
-
 def run_consensus(g: DiGraph, weights: WeightMatrices, schedule: Schedule, z0) -> ConsensusTrace:
     """Zero-perturbation run; errors are measured against mean(z0)."""
-    state = init(g, weights, z0, schedule.certified_D)
-    target = state.z.mean(axis=0)
-    expected_mass = state.z.sum(axis=0)
-    return _run(state, schedule, Perturbation.zero(), target, expected_mass)
+    return _run(g, weights, schedule, z0, None)
 
 
 def run_tracking(g: DiGraph, weights: WeightMatrices, schedule: Schedule, signals) -> ConsensusTrace:
-    """Signal-average tracking run; errors are against the running mean signal."""
-    pert = Perturbation.tracking(signals)
-    u0 = np.atleast_2d(np.asarray(
-        signals(0) if callable(signals) else signals[0], dtype=float))
+    """Track the running average of per-agent signals.
+
+    `signals` is an array of shape (K+1, I, n) or a callable k -> (I, n).
+    Errors are against the mean signal in force after each step.
+    """
+    signal = signals if callable(signals) else signals.__getitem__
+    return _run(g, weights, schedule, signal(0), signal)
+
+
+def _run(g, weights, schedule, u0, signal):
+    """Feed each active agent its signal increment since its last activation
+    (none when `signal` is None: consensus tracks the held z0)."""
     state = init(g, weights, u0, schedule.certified_D)
-    return _run(state, schedule, pert, None, None)
-
-
-def _run(state, schedule, pert, target, expected_mass):
+    held = state.z.copy()    # each agent's last fed-in signal
+    target, expect = held.mean(axis=0), held.sum(axis=0)
     K = schedule.horizon
-    ks = np.arange(K)
-    active = np.empty(K, dtype=int)
-    cons_err = np.empty(K)
-    mass_err = np.empty(K)
-    eps_sum = np.zeros(state.n)
-    tracking = pert.kind == "tracking"
+    active, cons_err, mass_err = np.empty(K, dtype=int), np.empty(K), np.empty(K)
     for ev in schedule.events:
-        eps = pert.value(ev.k, ev.agent)
+        i, eps = ev.agent, None
+        if signal is not None:
+            u = np.atleast_2d(np.asarray(signal(ev.k + 1), dtype=float))
+            eps = u[i] - held[i]
+            held[i] = u[i]
+            target, expect = u.mean(axis=0), held.sum(axis=0)
         step(state, ev, eps)
         if state.ratio_skips:
             raise RatioGuardError(
-                f"phi underflow at k={ev.k} (agent {ev.agent}): the schedule "
+                f"phi underflow at k={ev.k} (agent {i}): the schedule "
                 f"violates the bounded-activation assumption")
-        if eps is not None:
-            eps_sum += eps
-        if tracking:
-            tgt = np.atleast_2d(pert._signal(ev.k + 1)).mean(axis=0)
-            expect = pert.u_tilde.sum(axis=0)
-        else:
-            tgt = target
-            expect = expected_mass + eps_sum
-        active[ev.k] = ev.agent
-        cons_err[ev.k] = np.max(np.linalg.norm(state.y - tgt, axis=1))
-        mass_err[ev.k] = _relative(
-            float(np.linalg.norm(total_mass(state) - expect)),
-            float(np.linalg.norm(expect)))
-    return ConsensusTrace(k=ks, active=active, consensus_error=cons_err,
+        active[ev.k] = i
+        cons_err[ev.k] = np.max(np.linalg.norm(state.y - target, axis=1))
+        mass_err[ev.k] = (float(np.linalg.norm(total_mass(state) - expect))
+                          / (1.0 + float(np.linalg.norm(expect))))
+    return ConsensusTrace(k=np.arange(K), active=active, consensus_error=cons_err,
                           mass_error=mass_err, final_y=state.y.copy())

@@ -108,14 +108,22 @@ class Schedule:
 
 def _certified(k, agent, indptr, sender, delays, v_delays=None, n_agents=None,
                lost_packets=()) -> Schedule:
-    """Schedule from its arrays, with T and D certified."""
+    """Schedule from its arrays, with T and D certified; a negative delay on
+    either stream raises ValueError naming k and the edge."""
     k, agent, indptr, sender, delays, v_delays = (
         None if a is None else np.asarray(a, dtype=np.int32)
         for a in (k, agent, indptr, sender, delays, v_delays))
     if n_agents is None:
         n_agents = int(agent.max()) + 1 if agent.size else 0
+    streams = [a for a in (delays, v_delays) if a is not None]
+    for d in streams:
+        if d.min(initial=0) < 0:  # a reduction: no temporary of the delays' size
+            p = int(np.argmax(d < 0))
+            e = int(np.searchsorted(indptr, p, side="right")) - 1
+            raise ValueError(f"event k={k[e]}: delay {d[p]} on edge "
+                             f"({sender[p]},{agent[e]}) is negative")
     T, ok = _min_covering_window(agent, n_agents)
-    D = max(int(a.max(initial=0)) for a in (delays, v_delays) if a is not None)
+    D = max(int(a.max(initial=0)) for a in streams)
     return Schedule(k=k, agent=agent, indptr=indptr, sender=sender, delays=delays,
                     n_agents=n_agents, certified_T=T, certified_D=D, covering_ok=ok,
                     lost_packets=tuple(lost_packets), v_delays=v_delays)

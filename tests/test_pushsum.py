@@ -255,3 +255,20 @@ def test_phi_guard_aborts_on_starving_schedule():
             pushsum.step(st, ev)
             if st.ratio_skips:
                 raise pushsum.RatioGuardError("phi floor hit")
+
+
+def test_tracking_signal_array_matches_the_callable():
+    g = graph.build_cycle_plus_random(5, 1, seed=30)
+    w = graph.build_uniform_weights(g)
+    acts = schedule.gen_cyclic_permuted(5, 60, seed=31)
+    sched = schedule.assign_delays(acts, g, schedule.DelayModel(
+        kind="traveling-time-with-loss", D_tv=3, loss_rate=0.3, D_ls=3, seed=32))
+    assert sched.lost_packets
+    rng = np.random.default_rng(33)
+    c, r = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    signals = np.stack([c + r / (k + 1.0) for k in range(sched.horizon + 1)])
+    tr_array = pushsum.run_tracking(g, w, sched, signals)
+    tr_call = pushsum.run_tracking(g, w, sched, lambda k: c + r / (k + 1.0))
+    for f in ("k", "active", "consensus_error", "mass_error", "final_y"):
+        a, b = getattr(tr_array, f), getattr(tr_call, f)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f

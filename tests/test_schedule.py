@@ -274,3 +274,13 @@ def test_schedule_text_round_trip_keeps_an_agent_that_never_acts():
 def test_schedule_text_header_must_cover_every_agent():
     with pytest.raises(ValueError, match="agents=2"):
         schedule.Schedule.from_text("# agents=2\n0 0\n1 2\n")
+
+
+def test_certification_rejects_a_negative_delay():
+    with pytest.raises(ValueError, match=r"event k=0: delay -3 on edge \(1,0\) is negative"):
+        schedule._certify((schedule.Event(0, 0, {1: -3}),), 2)
+    with pytest.raises(ValueError, match=r"event k=0: delay -3 on edge \(1,0\) is negative"):
+        schedule.Schedule.from_text("# agents=2\n0 0 1:-3\n")
+    # the consensus-stream age is checked too
+    with pytest.raises(ValueError, match=r"event k=1: delay -2 on edge \(1,0\) is negative"):
+        schedule.Schedule.from_text("# agents=2\n0 1 0:0\n1 0 1:0/-2\n")

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from dasopt import augmented, harness, pushsum
+from dasopt import augmented, engine, harness, pushsum
 
 SIZES, DEPTHS, SEEDS = (3,), (0, 2), range(3)
 
@@ -72,3 +72,69 @@ def test_one_pushsum_step_call_per_event(monkeypatch):
     sizes, depths, steps, seeds = (3, 4), (0, 1), 13, range(2)
     assert harness._check_equivalence_and_mass(sizes, depths, steps, seeds).passed
     assert ks == list(range(steps)) * (len(sizes) * len(depths) * len(seeds))
+
+
+def _nan_at(M):
+    M = M.copy()
+    M[0, 0] = float("nan")
+    return M
+
+
+@pytest.mark.parametrize("field", ["z_diff", "phi_diff", "edge_diff", "edge_phi_diff"])
+def test_oracle_check_fails_on_a_nan_equivalence_gap(monkeypatch, field):
+    # a NaN gap in any field, even one after the first, is the worst; the
+    # real gaps after it must not displace it
+    steps, target = 20, (1 * len(SEEDS) + 1) * 20 + 5
+
+    def spike(rep):
+        setattr(rep, field, float("nan"))
+        return rep
+    monkeypatch.setattr(augmented, "check_equivalence",
+                        _spiked(augmented.check_equivalence, target, spike))
+    result = harness._check_equivalence_and_mass(SIZES, DEPTHS, steps, SEEDS)
+    assert not result.passed
+    assert "max equivalence diff nan" in result.detail
+    assert result.detail.endswith(" (equivalence worst at I=3 D=2 seed=1 k=5)")
+
+
+def test_oracle_check_fails_on_a_nan_mass(monkeypatch):
+    steps, target = 20, (1 * len(SEEDS) + 1) * 20 + 5
+    monkeypatch.setattr(pushsum, "total_mass",
+                        _spiked(pushsum.total_mass, target, lambda m: m * float("nan")))
+    result = harness._check_equivalence_and_mass(SIZES, DEPTHS, steps, SEEDS)
+    assert not result.passed
+    assert result.detail.endswith(" (mass residual worst at I=3 D=2 seed=1 k=5)")
+
+
+def test_stochasticity_check_fails_on_a_nan_column(monkeypatch):
+    seeds = range(5)
+    target = (1 * len(seeds) + 1) * 30 + 5
+    monkeypatch.setattr(augmented, "transition_matrix",
+                        _spiked(augmented.transition_matrix, target, _nan_at))
+    result = harness._check_stochasticity((3, 6), DEPTHS, seeds)
+    assert not result.passed
+    assert result.detail.endswith(" (column gap worst at I=3 D=2 seed=1 k=5)")
+
+
+def test_scrambling_check_fails_on_a_nan_minimum(monkeypatch):
+    # four windows per (I, seed): call 13 is I=3, seed 1, the window from 109
+    monkeypatch.setattr(augmented, "scrambling_lower_bound", _spiked(
+        augmented.scrambling_lower_bound, 13, lambda out: (float("nan"), out[1])))
+    result = harness._check_scrambling(range(2))
+    assert not result.passed
+    assert result.detail.startswith("I=3 seed=1 start=109: nan < ")
+
+
+def test_jacobi_check_fails_on_a_nan_iterate(monkeypatch):
+    # event k=14 closes round 3 of the 5 agents
+    step, calls = engine.step, itertools.count()
+
+    def nan_x(st, ev, pol):
+        out = step(st, ev, pol)
+        if next(calls) == 14:
+            st.x[0, 0] = float("nan")
+        return out
+    monkeypatch.setattr(engine, "step", nan_x)
+    result = harness._check_jacobi()
+    assert not result.passed
+    assert result.detail == "max per-round diff nan (worst at round 3)"
