@@ -14,13 +14,14 @@ The compiled schedule splits the events into batches of mutually independent
 events, and one batch core gathers, mixes, pushes and scatters a whole batch
 with numpy operations, in the same per-event arithmetic order as one event
 at a time. Every record point ends a batch, so each recorded row sees the
-exact sequential state. `step` runs one event through the same core.
-Synchronous baselines (the lockstep ratio-tracking iteration and the
-parallel Jacobi round) live here too.
+exact sequential state. `step` runs one event through the same core. The
+synchronous baselines live here too: the lockstep ratio-tracking iteration
+and the parallel Jacobi round, which the engine matches to rounding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +84,11 @@ class OptState:
     rho_ring: np.ndarray    # (S*(E+1), n) cumulative tracking mass, row (sender count % S) * (E+1) + edge
     rho_tilde: np.ndarray   # (E + 1, n) tracking mass consumed on each edge
     # read resolution of event-by-event `step`; a compiled run needs none of it
-    published: np.ndarray   # (S, I) generation index from which each count is readable
+    acted: list             # per agent, the event indices at which `step` activated it
     consumed: np.ndarray    # (E,) sender count consumed on the tracking stream
     consumed_v: np.ndarray  # (E,) the same on the consensus stream (aliased when coupled)
+    in_edges: tuple         # per agent, (sender, edge index) of each in-edge in in-neighbor order
     edge_src: np.ndarray    # (E,) sender of each edge
-    edge_id: dict           # (j, i) -> edge index
     w_self: np.ndarray      # (I,) diagonal of W
     a_self: np.ndarray      # (I,) diagonal of A
     w_edge: np.ndarray      # (E + 1,) W[i, j] of edge (j, i)
@@ -95,7 +96,6 @@ class OptState:
     alpha: np.ndarray       # (I,) current local step values
     t_local: np.ndarray     # (I,) activation counts
     depth: int
-    k: int = 0
     D_pad: int = 0
     couple_delays: bool = True
 
@@ -119,11 +119,11 @@ class _Published:
         precede the agent's latest activation, whose value this replaces.
         """
         st, i = self.state, self.agent
-        row = int(st.t_local[i]) % st.depth
-        if step < st.published[row, i]:
+        acted = st.acted[i]
+        if acted and step <= acted[-1]:
             raise ValueError(f"agent {i} last published at generation "
-                             f"{st.published[row, i]}, after {step}")
-        st.v_ring[row * st.g.node_count + i] = value
+                             f"{acted[-1] + 1}, after {step}")
+        st.v_ring[int(st.t_local[i]) % st.depth * st.g.node_count + i] = value
 
 
 def init(objective: Objective, g: DiGraph, weights: WeightMatrices, x0,
@@ -141,24 +141,22 @@ def init(objective: Objective, g: DiGraph, weights: WeightMatrices, x0,
         raise ValueError("x0 must provide one row per agent")
     S = schedule_D + 2 if depth is None else depth
     E = len(g.edge_list)
-    src = np.array([j for j, _ in g.edge_list], dtype=np.intp)
-    dst = np.array([i for _, i in g.edge_list], dtype=np.intp)
+    src, dst = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T
     grad0 = np.vstack([objective.grad_i(i, x0[i]) for i in range(I)])
-    published = np.full((S, I), np.iinfo(np.int64).max)
-    published[0] = np.iinfo(np.int64).min
+    pos = {e: m for m, e in enumerate(g.edge_list)}
     consumed = np.zeros(E, dtype=np.intp)
     alpha0 = policy.alpha0 if (policy and policy.kind == "local-diminishing") else 0.0
     return OptState(
         g=g, objective=objective, n=n, x=x0.copy(), z=grad0.copy(), grad_cache=grad0,
         v_ring=np.zeros((S * I + 1, n)), rho_ring=np.zeros((S * (E + 1), n)),
-        rho_tilde=np.zeros((E + 1, n)), published=published, consumed=consumed,
+        rho_tilde=np.zeros((E + 1, n)), acted=[[] for _ in range(I)], consumed=consumed,
         consumed_v=consumed if couple_delays else consumed.copy(),
-        edge_src=src, edge_id={e: m for m, e in enumerate(g.edge_list)},
-        w_self=np.diag(weights.W).copy(), a_self=np.diag(weights.A).copy(),
+        in_edges=tuple(tuple((j, pos[(j, i)]) for j in g.in_neighbors(i)) for i in range(I)),
+        edge_src=src, w_self=np.diag(weights.W).copy(), a_self=np.diag(weights.A).copy(),
         w_edge=np.append(weights.W[dst, src], 0.0),
         a_edge=np.append(weights.A[dst, src], 0.0),
         alpha=np.full(I, alpha0), t_local=np.zeros(I, dtype=np.intp),
-        depth=S, k=0, D_pad=schedule_D, couple_delays=couple_delays)
+        depth=S, D_pad=schedule_D, couple_delays=couple_delays)
 
 
 @dataclass
@@ -263,53 +261,40 @@ def _advance(st: OptState, p: _Plan, b: int, policy: StepSizePolicy):
 
 
 def _purged_count(st: OptState, k: int, j: int, i: int, d: int, current: int) -> int:
-    """Sender j's count at the purged index max(tau, k - d), read off the
-    published generations; raises when the ring no longer holds it."""
-    t = k - d
-    if d < 0 or t < -st.D_pad:
+    """Sender j's count at the purged index max(tau, k - d): its activations
+    before k - d, never below the count already consumed; raises when the
+    ring no longer holds it."""
+    if d < 0 or k - d < -st.D_pad:
         raise ValueError(f"event k={k}: delay {d} on edge ({j},{i}) is negative or "
                          f"precedes the padded history window (D_pad={st.D_pad})")
-    S, pub = st.depth, st.published[:, j]
-    c = int(st.t_local[j])
-    floor = max(int(current), c - S + 1)
-    while c > floor and pub[c % S] > t:
-        c -= 1
-    if c > current and pub[c % S] > t:
+    c = max(int(current), bisect_left(st.acted[j], k - d))
+    if c <= st.t_local[j] - st.depth:
         raise ValueError(f"event k={k}: delay {d} on edge ({j},{i}) reaches past the "
-                         f"{S} states the history ring holds")
+                         f"{st.depth} states the history ring holds")
     return c
-
-
-def _compile_event(st: OptState, event) -> _schedule.CompiledSchedule:
-    """`schedule.compile` for one event, resolved against the state."""
-    i, k = event.agent, event.k
-    ins = st.g.in_neighbors(i)
-    edge = [st.edge_id[(j, i)] for j in ins]
-    consumed = [_purged_count(st, k, j, i, event.delays[j], st.consumed[e])
-                for j, e in zip(ins, edge)]
-    consumed_v = consumed
-    if not st.couple_delays:
-        vd = event.v_delays or event.delays
-        consumed_v = [_purged_count(st, k, j, i, vd[j], st.consumed_v[e])
-                      for j, e in zip(ins, edge)]
-    arrays = (np.array(v, dtype=np.int32) for v in (
-        [i], [st.t_local[i]], [0, len(ins)], ins, edge, consumed, consumed_v, [0, 1]))
-    return _schedule.CompiledSchedule(*arrays, depth=st.depth)
 
 
 def step(state: OptState, event, policy: StepSizePolicy) -> float:
     """One global iteration; returns the step size the active agent used.
 
     The event runs through the batch core as a batch of one. Its reads are
-    resolved against the state, which therefore also records the consumed
-    counts and the generation from which the new descent state is readable.
+    resolved against the activation log before anything is written, so an
+    event that raises leaves the state untouched.
     """
-    cs = _compile_event(state, event)
+    i, k, ins = event.agent, event.k, state.in_edges[event.agent]
+    senders, edge = [j for j, _ in ins], [e for _, e in ins]
+    consumed = [_purged_count(state, k, j, i, event.delays[j], state.consumed[e])
+                for j, e in ins]
+    vd = event.v_delays or event.delays
+    consumed_v = consumed if state.couple_delays else [
+        _purged_count(state, k, j, i, vd[j], state.consumed_v[e]) for j, e in ins]
+    cs = _schedule.CompiledSchedule(*(np.array(v, dtype=np.int32) for v in (
+        [i], [state.t_local[i]], [0, len(ins)], senders, edge, consumed, consumed_v, [0, 1])),
+        depth=state.depth)
     gam, _ = _advance(state, _plan(cs, state.g), 0, policy)
-    state.consumed[cs.edge] = cs.consumed
-    state.consumed_v[cs.edge] = cs.consumed_v
-    state.published[state.t_local[event.agent] % state.depth, event.agent] = event.k + 1
-    state.k = event.k + 1
+    state.consumed[edge] = consumed
+    state.consumed_v[edge] = consumed_v
+    state.acted[i].append(k)
     return gam if policy.kind == "constant" else float(gam[0])
 
 
@@ -452,48 +437,31 @@ def run_parallel_rounds(objective: Objective, g: DiGraph, weights: WeightMatrice
     """Synchronous parallel (Jacobi) execution of the asynchronous update map.
 
     Every agent simultaneously applies one full event using the previous
-    round's snapshot of every other agent's state. The event-driven engine
-    under a `jacobi_rounds` schedule reproduces this trajectory exactly,
+    round's snapshot of every other agent's state, so the tracking mass in
+    flight on edge (j, i) is what j pushed last round, A[i, j] h_prev[j]:
+
+        x = diag(W) v + W_off v_prev,  h = z + (g_new - g) + A_off h_prev,
+        z = diag(A) h.
+
+    The weights carry the graph g. The event-driven engine under a
+    `jacobi_rounds` schedule reproduces this trajectory to rounding,
     regardless of the within-round serialization order.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    I, n = x0.shape
+    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     W, A = weights.W, weights.A
-    x = x0.copy()
-    grads = np.vstack([objective.grad_i(i, x[i]) for i in range(I)])
+    w_self, a_self = np.diag(W)[:, None], np.diag(A)[:, None]
+    W_off, A_off = W - np.diagflat(w_self), A - np.diagflat(a_self)
+    grads = np.vstack([objective.grad_i(i, xi) for i, xi in enumerate(x)])
     z = grads.copy()
-    v_prev = np.zeros((I, n))
-    rho = {e: np.zeros(n) for e in g.edge_list}
-    rho_tilde = {e: np.zeros(n) for e in g.edge_list}
-    xs = [x.copy()]
-    zs = [z.copy()]
+    v_prev = h_prev = np.zeros_like(x)
+    xs, zs = [x], [z]
     for _ in range(rounds):
-        v_new = x - gamma * z
-        x_next = np.empty_like(x)
-        zhalf = np.empty_like(z)
-        for i in range(I):
-            acc = W[i, i] * v_new[i]
-            for j in g.in_neighbors(i):
-                acc = acc + W[i, j] * v_prev[j]
-            x_next[i] = acc
-        new_grads = np.vstack([objective.grad_i(i, x_next[i]) for i in range(I)])
-        for i in range(I):
-            s = z[i] + (new_grads[i] - grads[i])
-            for j in g.in_neighbors(i):
-                e = (j, i)
-                s = s + (rho[e] - rho_tilde[e])
-            zhalf[i] = s
-        z_next = np.empty_like(z)
-        rho_next = dict(rho)
-        for i in range(I):
-            z_next[i] = A[i, i] * zhalf[i]
-            for j in g.out_neighbors(i):
-                e = (i, j)
-                rho_next[e] = rho[e] + A[j, i] * zhalf[i]
-        for e in g.edge_list:
-            rho_tilde[e] = rho[e]
-        rho = rho_next
-        v_prev, x, z, grads = v_new, x_next, z_next, new_grads
-        xs.append(x.copy())
-        zs.append(z.copy())
+        v = x - gamma * z
+        x = w_self * v + W_off @ v_prev
+        new_grads = np.vstack([objective.grad_i(i, xi) for i, xi in enumerate(x)])
+        h = z + (new_grads - grads) + A_off @ h_prev
+        z = a_self * h
+        v_prev, h_prev, grads = v, h, new_grads
+        xs.append(x)
+        zs.append(z)
     return xs, zs

@@ -323,6 +323,7 @@ def run_consensus_experiment(config: dict, output_dir: str = None) -> dict:
     name = config.get("name", "consensus")
     out = output_dir or config.get("output_dir") or os.path.join("out", name)
     os.makedirs(out, exist_ok=True)
+    _write_config(os.path.join(out, "config.json"), config)
     replicas = int(config.get("replicas", 1))
     master = int(config.get("master_seed", 0))
     finals = []

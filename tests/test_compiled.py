@@ -135,6 +135,56 @@ def test_step_rejects_a_read_the_ring_no_longer_holds():
         engine.step(st, schedule.Event(3, 1, {0: 3}), pol)
 
 
+@pytest.mark.parametrize("bad, coupled", [
+    (schedule.Event(3, 2, {0: 0, 1: -1}), True),
+    (schedule.Event(3, 2, {0: 0, 1: 3}), True),
+    (schedule.Event(3, 2, {0: 0, 1: 0}, v_delays={0: 0, 1: 3}), False),
+], ids=["negative", "past-the-ring", "past-the-ring-on-the-consensus-stream"])
+def test_a_raising_step_leaves_the_state_untouched(bad, coupled):
+    # agent 2 reads agents 0 and 1; only its second read is bad
+    obj = objectives.make_least_squares(3, 2, 2, 0.04, seed=0)
+    g = graph.DiGraph(3, frozenset({(0, 1), (1, 2), (2, 0), (0, 2)}))
+    w = graph.build_uniform_weights(g)
+    pol = engine.StepSizePolicy.constant(0.1)
+    x0 = np.random.default_rng(0).normal(size=(3, 2))
+    st, twin = (engine.init(obj, g, w, x0, 0, pol, couple_delays=coupled) for _ in range(2))
+    for s in (st, twin):
+        for k in range(3):
+            engine.step(s, schedule.Event(k, 1, {0: 0}), pol)
+    fields = ("consumed", "consumed_v", "x", "z", "t_local")
+    before = {f: getattr(st, f).copy() for f in fields}
+    with pytest.raises(ValueError, match=r"k=3: delay -?\d on edge \(1,2\)"):
+        engine.step(st, bad, pol)
+    for f in fields:
+        assert np.array_equal(getattr(st, f), before[f]), f
+    for ev in (schedule.Event(3, 2, {0: 0, 1: 0}), schedule.Event(4, 0, {2: 0}),
+               schedule.Event(5, 1, {0: 1}), schedule.Event(6, 2, {0: 1, 1: 0})):
+        for s in (st, twin):
+            engine.step(s, ev, pol)
+        assert np.array_equal(st.x, twin.x) and np.array_equal(st.z, twin.z)
+
+
+def test_publishing_may_not_precede_the_latest_activation():
+    obj = objectives.make_least_squares(2, 2, 2, 0.04, seed=0)
+    g = graph.DiGraph(2, frozenset({(0, 1), (1, 0)}))
+    w = graph.build_uniform_weights(g)
+    pol = engine.StepSizePolicy.constant(0.1)
+    st, twin = (engine.init(obj, g, w, np.ones((2, 2)), 0, pol) for _ in range(2))
+    for s in (st, twin):
+        for k, i in enumerate((0, 1)):
+            engine.step(s, schedule.Event(k, i, {1 - i: 0}), pol)
+    published = st.x[0] - 0.1 * st.z[0]
+    for s in (st, twin):
+        engine.step(s, schedule.Event(2, 0, {1: 0}), pol)
+    with pytest.raises(ValueError, match="agent 0 last published at generation 3, after 2"):
+        st.v_hist[0].append(2, np.zeros(2))
+    st.v_hist[0].append(3, np.zeros(2))
+    for s in (st, twin):
+        engine.step(s, schedule.Event(3, 1, {0: 0}), pol)
+    # agent 1 mixed the replaced state in place of the one agent 0 published at event 2
+    np.testing.assert_allclose(twin.x[1] - st.x[1], w.W[1, 0] * published, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # divergence guard
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def test_robust_classification_from_text_dataset(tmp_path):
     assert info["max_mass_residual"] <= 1e-10
 
 
-def test_consensus_experiment_writes_trace(tmp_path):
-    cfg = {
+def small_consensus_config(tmp_path):
+    return {
         "name": "cons",
         "kind": "consensus",
         "graph": {"I": 5, "extra_out_degree": 1},
@@ -141,6 +141,10 @@ def test_consensus_experiment_writes_trace(tmp_path):
         "master_seed": 1,
         "output_dir": str(tmp_path / "cons"),
     }
+
+
+def test_consensus_experiment_writes_trace(tmp_path):
+    cfg = small_consensus_config(tmp_path)
     summary = harness.run_consensus_experiment(cfg)
     assert summary["max_final_error"] <= 1e-6
     lines = open(tmp_path / "cons" / "replica_000.csv").read().splitlines()
@@ -250,10 +254,11 @@ def test_cli_verify_exit_codes(monkeypatch, capsys):
 
 
 def test_run_emits_replayable_config(tmp_path):
-    cfg = small_optimize_config(tmp_path)
-    harness.run_experiment(cfg)
-    emitted = json.load(open(os.path.join(cfg["output_dir"], "config.json")))
-    assert emitted == cfg
+    for cfg, run in ((small_optimize_config(tmp_path), harness.run_experiment),
+                     (small_consensus_config(tmp_path), harness.run_consensus_experiment)):
+        run(cfg)
+        emitted = json.load(open(os.path.join(cfg["output_dir"], "config.json")))
+        assert emitted == cfg
 
 
 def test_cli_consensus_run(tmp_path, capsys):
